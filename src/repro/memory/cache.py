@@ -9,7 +9,7 @@ the same reason: no timing, no data).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import Container, Iterable, List, Sequence
 
 
 class Cache:
@@ -52,14 +52,11 @@ class Cache:
         self.n_accesses = 0
         self.n_misses = 0
 
-    def _locate(self, line_addr: int):
-        block = line_addr >> self._offset_bits
-        return self._sets[block % self.n_sets], block
-
     def access(self, line_addr: int, is_write: bool = False) -> bool:
         """Access a line (by any byte address within it); True on hit."""
         self.n_accesses += 1
-        lines, tag = self._locate(line_addr)
+        tag = line_addr >> self._offset_bits
+        lines = self._sets[tag % self.n_sets]
         if tag in lines:
             lines.move_to_end(tag)
             return True
@@ -73,8 +70,51 @@ class Cache:
 
     def probe(self, line_addr: int) -> bool:
         """Check residency without touching LRU state or counters."""
-        lines, tag = self._locate(line_addr)
-        return tag in lines
+        tag = line_addr >> self._offset_bits
+        return tag in self._sets[tag % self.n_sets]
+
+    # Whole-instruction batches (the timing oracle's fast path) -------------
+
+    def count_absent(self, lines: Iterable[int],
+                     inflight: Container[int]) -> int:
+        """How many of ``lines`` are neither resident nor in ``inflight``.
+
+        The load issue check: each such request would allocate an MSHR
+        entry.  Equals counting ``not probe(line) and line not in
+        inflight`` line by line; touches no LRU state or counters.
+        """
+        sets = self._sets
+        shift = self._offset_bits
+        n_sets = self.n_sets
+        absent = 0
+        for line in lines:
+            tag = line >> shift
+            if tag not in sets[tag % n_sets] and line not in inflight:
+                absent += 1
+        return absent
+
+    def write_many(self, lines: Sequence[int]) -> None:
+        """Store to each of ``lines`` in order, as a loop of
+        ``access(line, is_write=True)`` would."""
+        sets = self._sets
+        shift = self._offset_bits
+        n_sets = self.n_sets
+        allocate = self.allocate_on_write
+        assoc = self.assoc
+        misses = 0
+        for line in lines:
+            tag = line >> shift
+            ways = sets[tag % n_sets]
+            if tag in ways:
+                ways.move_to_end(tag)
+                continue
+            misses += 1
+            if allocate:
+                if len(ways) >= assoc:
+                    ways.popitem(last=False)
+                ways[tag] = None
+        self.n_accesses += len(lines)
+        self.n_misses += misses
 
     def flush(self) -> None:
         """Invalidate all lines (counters are preserved)."""

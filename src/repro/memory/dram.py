@@ -10,6 +10,8 @@ approximation (Sec. IV-B2) is validated.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 
 class DRAMQueue:
     """FCFS single-server queue with deterministic service time."""
@@ -37,6 +39,28 @@ class DRAMQueue:
         self._free_at = completion
         self.n_requests += 1
         return completion
+
+    def enqueue_burst(self, arrival: float, count: int) -> None:
+        """Enqueue ``count`` transfers that all arrive at ``arrival``.
+
+        Same floats as ``count`` calls of :meth:`enqueue`, in the same
+        order: ``free_at + service`` is added once per transfer, never
+        replaced by ``start + i * service``, which rounds differently.
+        """
+        arrival = float(arrival)
+        service = self.service_cycles
+        free_at = self._free_at
+        delay = self.total_queue_delay
+        busy = self.busy_cycles
+        for _ in range(count):
+            start = arrival if arrival >= free_at else free_at
+            free_at = start + service
+            delay += start - arrival
+            busy += service
+        self._free_at = free_at
+        self.total_queue_delay = delay
+        self.busy_cycles = busy
+        self.n_requests += count
 
     @property
     def free_at(self) -> float:
@@ -86,6 +110,24 @@ class DRAMSystem:
     def enqueue(self, arrival: float, line_addr: int = 0) -> float:
         """Enqueue a transfer on the line's channel; returns completion."""
         return self.channels[self.channel_of(line_addr)].enqueue(arrival)
+
+    def enqueue_many(self, arrival: float, lines: Sequence[int]) -> None:
+        """Enqueue one transfer per line, all arriving at ``arrival``.
+
+        Equivalent to calling :meth:`enqueue` for each line in order.
+        Channels are independent FCFS queues, so each channel's share of
+        the burst is served as one :meth:`DRAMQueue.enqueue_burst`.
+        """
+        channels = self.channels
+        if len(channels) == 1:
+            channels[0].enqueue_burst(arrival, len(lines))
+            return
+        counts = [0] * len(channels)
+        for line in lines:
+            counts[self.channel_of(line)] += 1
+        for channel, count in zip(channels, counts):
+            if count:
+                channel.enqueue_burst(arrival, count)
 
     # Aggregate statistics ----------------------------------------------------
 

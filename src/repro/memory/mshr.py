@@ -14,8 +14,9 @@ divergent kernels like ``kmeans_invert_mapping``.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, Optional, Sequence
+from bisect import bisect_right, insort
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 class MSHRError(RuntimeError):
@@ -23,13 +24,21 @@ class MSHRError(RuntimeError):
 
 
 class MSHRFile:
-    """A fixed-capacity set of in-flight line addresses (one per core)."""
+    """A fixed-capacity set of in-flight line addresses (one per core).
+
+    Beside the ``line -> completion`` map the file keeps a completion
+    index: every entry as ``(completion, line)`` in ascending order.
+    Releasing returned entries pops a prefix of it, and the next or k-th
+    completion is a positional read, so none of these scans the file.
+    """
 
     def __init__(self, n_entries: int):
         if n_entries < 1:
             raise ValueError("n_entries must be >= 1")
         self.n_entries = n_entries
         self._inflight: Dict[int, float] = {}  # line -> completion cycle
+        self._by_completion: List[Tuple[float, int]] = []
+        self._view = MappingProxyType(self._inflight)
         self.n_allocations = 0
         self.n_merges = 0
         self.stalled_allocation_attempts = 0
@@ -42,13 +51,10 @@ class MSHRFile:
         """Unoccupied MSHR entries."""
         return self.n_entries - len(self._inflight)
 
-    def entries_needed(self, lines: Sequence[int]) -> int:
-        """How many *new* entries the given request lines would allocate."""
-        return sum(1 for line in set(lines) if line not in self._inflight)
-
-    def can_allocate(self, lines: Sequence[int]) -> bool:
-        """Whether all the given lines fit (merges are free)."""
-        return self.entries_needed(lines) <= self.free_entries
+    @property
+    def inflight(self) -> Mapping[int, float]:
+        """Read-only live view: in-flight line -> completion cycle."""
+        return self._view
 
     def lookup(self, line: int) -> Optional[float]:
         """Completion cycle of an in-flight line, or None."""
@@ -64,23 +70,30 @@ class MSHRFile:
         if existing is not None:
             self.n_merges += 1
             return existing
-        if not self.free_entries:
+        if len(self._inflight) >= self.n_entries:
             self.stalled_allocation_attempts += 1
             raise MSHRError("MSHR file full")
         self._inflight[line] = completion
+        insort(self._by_completion, (completion, line))
         self.n_allocations += 1
         return completion
 
     def release_completed(self, now: float) -> int:
         """Free every entry whose data has returned by ``now``."""
-        done = [line for line, t in self._inflight.items() if t <= now]
-        for line in done:
-            del self._inflight[line]
-        return len(done)
+        order = self._by_completion
+        if not order or order[0][0] > now:
+            return 0
+        n = bisect_right(order, (now, float("inf")))
+        inflight = self._inflight
+        for _, line in order[:n]:
+            del inflight[line]
+        del order[:n]
+        return n
 
     def next_completion(self) -> Optional[float]:
         """Earliest in-flight completion (for event-driven cycle skipping)."""
-        return min(self._inflight.values()) if self._inflight else None
+        order = self._by_completion
+        return order[0][0] if order else None
 
     def kth_completion(self, k: int) -> Optional[float]:
         """Time at which ``k`` in-flight entries will have completed.
@@ -91,11 +104,7 @@ class MSHRFile:
         """
         if k <= 0:
             return self.next_completion()
-        values = self._inflight.values()
-        if len(values) < k:
+        order = self._by_completion
+        if len(order) < k:
             return None
-        return heapq.nsmallest(k, values)[-1]
-
-    def inflight_lines(self) -> Iterable[int]:
-        """Line addresses currently being fetched."""
-        return self._inflight.keys()
+        return order[k - 1][0]

@@ -40,12 +40,11 @@ class IssueStatus(enum.Enum):
     """Outcome of asking a warp whether it can issue this cycle."""
 
     OK = "ok"
-    DEP_STALL = "dep"  # producers not complete yet
+    DEP_STALL = "dep"  # producers not complete yet (no warp was ready)
     MSHR_STALL = "mshr"  # ready but the MSHR file is full
     SFU_STALL = "sfu"  # ready but the SFU pipeline is occupied
     SMEM_STALL = "smem"  # ready but the scratchpad LSU is occupied
     BARRIER_STALL = "bar"  # waiting for block-mates at a barrier
-    FINISHED = "finished"
 
 
 _LOAD = int(OpCode.LOAD)
@@ -69,7 +68,7 @@ class _WarpRun:
         "age",
         "next_idx",
         "done",
-        "_ready_at",
+        "ready_at",
         "n_insts",
         "ops",
         "pcs",
@@ -79,6 +78,8 @@ class _WarpRun:
         "conflict",
         "bar_count",
         "block_runs",
+        "absent_epoch",
+        "absent",
     )
 
     def __init__(self, trace: WarpTrace, age: int):
@@ -94,9 +95,15 @@ class _WarpRun:
         self.conflict = trace.conflict.tolist()
         self.bar_count = 0
         self.block_runs: List["_WarpRun"] = []
+        # Memo of the next load's MSHR need: ``absent`` lines, valid
+        # while the core's residency epoch equals ``absent_epoch``.
+        self.absent_epoch = -1
+        self.absent = 0
         # Completion cycle of each issued dynamic instruction.
         self.done = [0.0] * self.n_insts
-        self._ready_at: float = 0.0
+        # Earliest cycle the next instruction may issue (inf once every
+        # instruction has issued); read directly by the issue loop.
+        self.ready_at = 0.0
         self._refresh_ready()
 
     @property
@@ -104,19 +111,10 @@ class _WarpRun:
         """Whether every traced instruction has issued."""
         return self.next_idx >= self.n_insts
 
-    @property
-    def ready_at(self) -> float:
-        """Earliest cycle the next instruction may issue."""
-        return self._ready_at
-
-    def requests(self, index: int):
-        """Request line addresses of one dynamic instruction (list slice)."""
-        return self.req_lines[self.req_offsets[index]: self.req_offsets[index + 1]]
-
     def _refresh_ready(self) -> None:
         """Recompute the earliest issue cycle of the next instruction."""
         if self.next_idx >= self.n_insts:
-            self._ready_at = float("inf")
+            self.ready_at = float("inf")
             return
         ready = 0.0
         done = self.done
@@ -125,12 +123,13 @@ class _WarpRun:
                 t = done[dep]
                 if t > ready:
                     ready = t
-        self._ready_at = ready
+        self.ready_at = ready
 
     def complete_at(self, completion: float) -> None:
         """Record the just-issued instruction's completion and advance."""
         self.done[self.next_idx] = completion
         self.next_idx += 1
+        self.absent_epoch = -1
         self._refresh_ready()
 
 
@@ -164,10 +163,11 @@ class _SchedulerPartition:
 
     def candidates_gto(self) -> List[_WarpRun]:
         current = self.gto_current
-        if current is None or current.finished:
-            return self.resident
+        resident = self.resident
+        if current is None or current.finished or current is resident[0]:
+            return resident
         order = [current]
-        for run in self.resident:
+        for run in resident:
             if run is not current:
                 order.append(run)
         return order
@@ -208,6 +208,12 @@ class CoreModel:
         self.l2 = l2
         self.dram = dram
         self.mshr = MSHRFile(config.n_mshrs)
+        self._mshr_inflight = self.mshr.inflight
+        # Bumped whenever the L1's lines or the MSHR file's entries may
+        # have changed (a load issued, an entry released).  A warp stalled
+        # on the MSHR file is re-checked on every scan; while the epoch
+        # holds, its count of absent lines cannot have changed.
+        self._residency_epoch = 0
         self.warps_per_core = (
             warps_per_core if warps_per_core is not None
             else config.max_warps_per_core
@@ -238,8 +244,9 @@ class CoreModel:
         # A core's issue eligibility only changes with its own events
         # (dependency completions, MSHR releases), so after a failed scan
         # it can sleep until the earliest such event instead of rescanning
-        # every cycle.
-        self._sleep_until = 0.0
+        # every cycle.  After a step that issued nothing this equals
+        # next_event_after(now), which the simulator reads to skip cycles.
+        self.sleep_until = 0.0
         self._sleep_kind = IssueStatus.DEP_STALL
         # Entries the cheapest MSHR-stalled load is waiting for; lets
         # next_event_after sleep until the k-th MSHR release rather than
@@ -262,6 +269,9 @@ class CoreModel:
         self._l2_latency = float(config.l2_latency)
         self._dram_latency = float(config.dram_latency)
         self._sfu_service_cycles = float(config.sfu_service_cycles)
+        #: Whether all assigned blocks have completed (updated whenever
+        #: residency changes).
+        self.finished = False
         self._activate_blocks()
 
     # Residency -------------------------------------------------------------
@@ -285,6 +295,7 @@ class CoreModel:
             n_partitions = len(self._partitions)
             for run in runs:
                 self._partitions[run.age % n_partitions].resident.append(run)
+        self.finished = not self._resident and not self._block_queue
 
     def _retire_blocks(self) -> None:
         """Release blocks whose warps all finished; admit new ones."""
@@ -302,11 +313,6 @@ class CoreModel:
         self._activate_blocks()
 
     @property
-    def finished(self) -> bool:
-        """Whether all assigned blocks have completed."""
-        return not self._resident and not self._block_queue
-
-    @property
     def n_resident(self) -> int:
         """Warps currently resident on the core."""
         return len(self._resident)
@@ -314,31 +320,24 @@ class CoreModel:
     # Issue -----------------------------------------------------------------
 
     def _issue_check(self, run: _WarpRun, now: float) -> IssueStatus:
-        if run.next_idx >= run.n_insts:
-            return IssueStatus.FINISHED
-        if run.ready_at > now:
-            return IssueStatus.DEP_STALL
+        """Structural hazards of a warp whose dependencies are met.
+
+        The caller (``step``) has already skipped warps with
+        ``ready_at > now``: dependency-stalled and finished ones.
+        """
         index = run.next_idx
-        if (
-            self._sfu_limited
-            and run.ops[index] == _SFU
-            and self._sfu_free_at > now
-        ):
-            return IssueStatus.SFU_STALL
-        if (
-            run.ops[index] in (_SMEM_LOAD, _SMEM_STORE)
-            and self._smem_free_at > now
-        ):
-            return IssueStatus.SMEM_STALL
-        if run.ops[index] == _BARRIER and not self._barrier_open(run):
-            return IssueStatus.BARRIER_STALL
-        if run.ops[index] == _LOAD:
-            needed = 0
-            mshr_lookup = self.mshr.lookup
-            l1_probe = self.l1.probe
-            for line in run.requests(index):
-                if not l1_probe(line) and mshr_lookup(line) is None:
-                    needed += 1
+        op = run.ops[index]
+        if op == _LOAD:
+            if run.absent_epoch == self._residency_epoch:
+                needed = run.absent
+            else:
+                offsets = run.req_offsets
+                needed = self.l1.count_absent(
+                    run.req_lines[offsets[index]:offsets[index + 1]],
+                    self._mshr_inflight,
+                )
+                run.absent = needed
+                run.absent_epoch = self._residency_epoch
             if needed > self.mshr.n_entries:
                 raise MSHRError(
                     "load at pc %d needs %d MSHR entries but the file only "
@@ -348,6 +347,13 @@ class CoreModel:
             if needed > self.mshr.free_entries:
                 self._last_mshr_need = needed
                 return IssueStatus.MSHR_STALL
+            return IssueStatus.OK
+        if self._sfu_limited and op == _SFU and self._sfu_free_at > now:
+            return IssueStatus.SFU_STALL
+        if (op == _SMEM_LOAD or op == _SMEM_STORE) and self._smem_free_at > now:
+            return IssueStatus.SMEM_STALL
+        if op == _BARRIER and not self._barrier_open(run):
+            return IssueStatus.BARRIER_STALL
         return IssueStatus.OK
 
     def _barrier_open(self, run: _WarpRun) -> bool:
@@ -373,6 +379,7 @@ class CoreModel:
         op = run.ops[index]
         if op == _LOAD:
             completion = self._issue_load(run, index, now)
+            self._residency_epoch += 1
         elif op == _STORE:
             self._issue_store(run, index, now)
             completion = now + 1.0
@@ -398,30 +405,41 @@ class CoreModel:
 
     def _issue_load(self, run: _WarpRun, index: int, now: float) -> float:
         """Walk every coalesced request through L1/MSHR/L2/DRAM."""
+        offsets = run.req_offsets
+        lines = run.req_lines[offsets[index]:offsets[index + 1]]
+        l1_access = self.l1.access
+        l2_access = self.l2.access
+        dram_enqueue = self.dram.enqueue
+        allocate = self.mshr.allocate
+        inflight = self._mshr_inflight
+        l1_done = now + self._l1_latency
+        l2_done = now + self._l2_latency
         completion = 0.0
-        for line in run.requests(index):
-            if self.l1.access(line):
+        for line in lines:
+            if l1_access(line):
                 # Tag hit; if the line's fill is still in flight this is a
                 # pending hit and completes when the original miss returns.
-                t = now + self._l1_latency
-                pending = self.mshr.lookup(line)
+                t = l1_done
+                pending = inflight.get(line)
                 if pending is not None and pending > t:
                     t = pending
             else:
-                merged = self.mshr.lookup(line)
+                merged = inflight.get(line)
                 if merged is not None:
                     t = merged
                 else:
-                    if self.l2.access(line):
-                        completion = now + self._l2_latency
+                    # A fresh miss resets the running maximum to its own
+                    # fill time, even below an earlier request's; the
+                    # oracle golden digest pins this behaviour.
+                    if l2_access(line):
+                        completion = l2_done
                     else:
-                        arrival = now + self._l2_latency
                         completion = (
-                            self.dram.enqueue(arrival, line)
+                            dram_enqueue(l2_done, line)
                             + self._dram_latency
                         )
                     try:
-                        t = self.mshr.allocate(line, completion)
+                        t = allocate(line, completion)
                     except MSHRError:
                         # The issue check counted this line as an L1 hit,
                         # but an earlier request of this same instruction
@@ -434,11 +452,16 @@ class CoreModel:
         return completion
 
     def _issue_store(self, run: _WarpRun, index: int, now: float) -> None:
-        """Write-through store: probes caches, always consumes DRAM bus."""
-        for line in run.requests(index):
-            self.l1.access(line, is_write=True)
-            self.l2.access(line, is_write=True)
-            self.dram.enqueue(now + self._l2_latency, line)
+        """Write-through store: probes caches, always consumes DRAM bus.
+
+        The L1, the L2 and the DRAM queue are independent, so each takes
+        the instruction's whole line set in one call, in request order.
+        """
+        offsets = run.req_offsets
+        lines = run.req_lines[offsets[index]:offsets[index + 1]]
+        self.l1.write_many(lines)
+        self.l2.write_many(lines)
+        self.dram.enqueue_many(now + self._l2_latency, lines)
 
     # Scheduling --------------------------------------------------------------
 
@@ -452,18 +475,19 @@ class CoreModel:
         """
         if self.finished:
             return False
-        if now < self._sleep_until:
+        stats = self.stats
+        stats.active_cycles += 1
+        if now < self.sleep_until:
             # Known-stalled: no event of this core can have fired yet.
             if self._sleep_kind is IssueStatus.MSHR_STALL:
-                self.stats.mshr_stall_cycles += 1
+                stats.mshr_stall_cycles += 1
             elif self._sleep_kind is IssueStatus.SFU_STALL:
-                self.stats.sfu_stall_cycles += 1
+                stats.sfu_stall_cycles += 1
             else:
-                self.stats.dep_stall_cycles += 1
-            self.stats.active_cycles += 1
+                stats.dep_stall_cycles += 1
             return False
-        self.mshr.release_completed(now)
-        self.stats.active_cycles += 1
+        if self.mshr.release_completed(now):
+            self._residency_epoch += 1
         rr = self._rr
         issued_any = False
         saw_mshr_stall = False
@@ -475,10 +499,12 @@ class CoreModel:
                 else partition.candidates_gto()
             )
             for run in candidates:
+                if run.ready_at > now:
+                    continue  # dependency stall, or finished (ready at inf)
                 status = self._issue_check(run, now)
                 if status is IssueStatus.OK:
                     self._issue(run, now)
-                    self.stats.finish_cycle = now
+                    stats.finish_cycle = now
                     partition.note_issue(run, rr)
                     issued_any = True
                     break
@@ -492,21 +518,21 @@ class CoreModel:
                 elif status in (IssueStatus.SFU_STALL, IssueStatus.SMEM_STALL):
                     saw_sfu_stall = True
                 elif status is IssueStatus.BARRIER_STALL:
-                    self.stats.barrier_stall_cycles += 1
+                    stats.barrier_stall_cycles += 1
         if issued_any:
-            self.stats.issue_cycles += 1
+            stats.issue_cycles += 1
             return True
         if saw_mshr_stall:
-            self.stats.mshr_stall_cycles += 1
+            stats.mshr_stall_cycles += 1
             self._sleep_kind = IssueStatus.MSHR_STALL
         elif saw_sfu_stall:
-            self.stats.sfu_stall_cycles += 1
+            stats.sfu_stall_cycles += 1
             self._sleep_kind = IssueStatus.SFU_STALL
         else:
-            self.stats.dep_stall_cycles += 1
+            stats.dep_stall_cycles += 1
             self._sleep_kind = IssueStatus.DEP_STALL
         self._mshr_need = min_mshr_need or 1
-        self._sleep_until = self.next_event_after(now)
+        self.sleep_until = self.next_event_after(now)
         return False
 
     def next_event_after(self, now: float) -> float:

@@ -123,7 +123,9 @@ class TimingSimulator:
             if issued_any or not self.cycle_skipping:
                 now += 1.0
             else:
-                wake = min(core.next_event_after(now) for core in cores
+                # No core issued, so each unfinished core's sleep_until
+                # is its next_event_after(now).
+                wake = min(core.sleep_until for core in cores
                            if not core.finished)
                 if wake == float("inf"):
                     raise SimulationError("deadlock: no core has a future event")

@@ -1,5 +1,7 @@
 """Unit and property tests for the set-associative cache."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -142,3 +144,67 @@ class TestCacheProperties:
             cache.access(addr)
         assert cache.n_accesses == len(addrs)
         assert 0 <= cache.n_misses <= cache.n_accesses
+
+
+def _cache_state(cache):
+    """Every set's tags in LRU order, plus the counters."""
+    return ([list(ways) for ways in cache._sets], cache.n_accesses,
+            cache.n_misses)
+
+
+def _random_lines(rng, n, span=48, line=128):
+    """``n`` byte addresses over ``span`` lines; collisions and repeats
+    are likely, and addresses fall anywhere inside their line."""
+    return [rng.randrange(span) * line + rng.randrange(line)
+            for _ in range(n)]
+
+
+class TestBatchMethods:
+    """The whole-instruction batches equal their per-line loops."""
+
+    @pytest.mark.parametrize("allocate_on_write", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batches_match_per_line_loops(self, allocate_on_write, seed):
+        rng = random.Random(seed)
+        batched = Cache(size=2 * 4 * 128, assoc=2, line_size=128,
+                        allocate_on_write=allocate_on_write)
+        looped = Cache(size=2 * 4 * 128, assoc=2, line_size=128,
+                       allocate_on_write=allocate_on_write)
+        for _ in range(60):
+            lines = _random_lines(rng, rng.randrange(0, 12))
+            kind = rng.choice(("absent", "access", "write"))
+            if kind == "absent":
+                inflight = set(_random_lines(rng, 6))
+                expected = sum(
+                    1 for line in lines
+                    if not looped.probe(line) and line not in inflight
+                )
+                assert batched.count_absent(lines, inflight) == expected
+            elif kind == "access":
+                for line in lines:
+                    assert batched.access(line) == looped.access(line)
+            else:
+                for line in lines:
+                    looped.access(line, is_write=True)
+                assert batched.write_many(lines) is None
+            assert _cache_state(batched) == _cache_state(looped)
+
+    def test_count_absent_counts_each_request(self):
+        cache = small_cache()
+        cache.access(0)
+        # 0 is resident, 128 is in flight, 256 twice and 384 are absent.
+        assert cache.count_absent([0, 128, 256, 256, 384], {128}) == 3
+        assert cache.n_accesses == 1  # a pure query, like probe
+
+    def test_write_many_respects_no_write_allocate(self):
+        cache = small_cache()
+        cache.write_many([0, 128])
+        assert (cache.n_accesses, cache.n_misses) == (2, 2)
+        assert not cache.probe(0) and not cache.probe(128)
+
+    def test_write_many_allocates_when_configured(self):
+        cache = Cache(size=1024, assoc=2, line_size=128,
+                      allocate_on_write=True)
+        cache.write_many([0, 0])
+        assert (cache.n_accesses, cache.n_misses) == (2, 1)
+        assert cache.probe(0)

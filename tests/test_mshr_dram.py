@@ -1,10 +1,14 @@
 """Unit tests for the MSHR file and the DRAM bandwidth queue."""
 
+import heapq
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.memory.dram import DRAMQueue
+from repro.memory.cache import Cache
+from repro.memory.dram import DRAMQueue, DRAMSystem
 from repro.memory.mshr import MSHRError, MSHRFile
 
 
@@ -33,16 +37,30 @@ class TestMSHR:
             mshr.allocate(0x200, 10.0)
         assert mshr.stalled_allocation_attempts == 1
 
-    def test_entries_needed_counts_new_lines_once(self):
+    def test_count_absent_skips_inflight_lines(self):
         mshr = MSHRFile(4)
         mshr.allocate(0x100, 10.0)
-        assert mshr.entries_needed([0x100, 0x200, 0x200, 0x300]) == 2
+        l1 = Cache(size=1024, assoc=2, line_size=128)
+        assert l1.count_absent([0x100, 0x200, 0x300], mshr.inflight) == 2
 
-    def test_can_allocate(self):
+    def test_count_absent_within_free_entries(self):
         mshr = MSHRFile(2)
         mshr.allocate(0x100, 10.0)
-        assert mshr.can_allocate([0x100, 0x200])
-        assert not mshr.can_allocate([0x200, 0x300])
+        l1 = Cache(size=1024, assoc=2, line_size=128)
+        assert (l1.count_absent([0x100, 0x200], mshr.inflight)
+                <= mshr.free_entries)
+        assert (l1.count_absent([0x200, 0x300], mshr.inflight)
+                > mshr.free_entries)
+
+    def test_inflight_is_a_live_read_only_view(self):
+        mshr = MSHRFile(2)
+        view = mshr.inflight
+        mshr.allocate(0x100, 10.0)
+        assert dict(view) == {0x100: 10.0}
+        with pytest.raises(TypeError):
+            view[0x200] = 5.0
+        mshr.release_completed(10.0)
+        assert not view
 
     def test_next_completion(self):
         mshr = MSHRFile(4)
@@ -77,6 +95,116 @@ class TestMSHR:
                     continue
             mshr.allocate(line, completion)
             assert len(mshr) <= 4
+
+
+class _ReferenceMSHR:
+    """The completion queries by scanning the whole file."""
+
+    def __init__(self, n_entries):
+        self.n_entries = n_entries
+        self.inflight = {}
+
+    def allocate(self, line, completion):
+        if line in self.inflight:
+            return self.inflight[line]
+        if len(self.inflight) >= self.n_entries:
+            raise MSHRError("MSHR file full")
+        self.inflight[line] = completion
+        return completion
+
+    def release_completed(self, now):
+        done = [line for line, t in self.inflight.items() if t <= now]
+        for line in done:
+            del self.inflight[line]
+        return len(done)
+
+    def kth_completion(self, k):
+        values = self.inflight.values()
+        if not values or len(values) < max(k, 1):
+            return None
+        return heapq.nsmallest(max(k, 1), values)[-1]
+
+
+class TestCompletionIndex:
+    """The sorted completion index equals a dict scan plus nsmallest."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sequence_matches_reference(self, seed):
+        rng = random.Random(seed)
+        n_entries = rng.choice((1, 3, 8))
+        mshr = MSHRFile(n_entries)
+        ref = _ReferenceMSHR(n_entries)
+        now = 0.0
+        for _ in range(400):
+            action = rng.random()
+            if action < 0.55:
+                line = rng.randrange(12) * 128
+                # Few distinct times, so completions tie; some fractional.
+                completion = now + rng.choice((1.0, 2.0, 2.0, 2.5, 0.75,
+                                               rng.random() * 6))
+                try:
+                    expected = ref.allocate(line, completion)
+                except MSHRError:
+                    with pytest.raises(MSHRError):
+                        mshr.allocate(line, completion)
+                else:
+                    assert mshr.allocate(line, completion) == expected
+            elif action < 0.8:
+                now += rng.choice((0.0, 0.5, 1.0, 2.0))
+                assert (mshr.release_completed(now)
+                        == ref.release_completed(now))
+            for k in range(0, n_entries + 2):
+                assert mshr.kth_completion(k) == ref.kth_completion(k)
+            assert mshr.next_completion() == ref.kth_completion(1)
+            assert dict(mshr.inflight) == ref.inflight
+            assert mshr.free_entries == n_entries - len(ref.inflight)
+
+    def test_release_with_tied_completions(self):
+        mshr = MSHRFile(4)
+        for line in (3, 1, 2):
+            mshr.allocate(line, 5.0)
+        mshr.allocate(4, 5.5)
+        assert mshr.kth_completion(3) == 5.0
+        assert mshr.release_completed(5.0) == 3
+        assert dict(mshr.inflight) == {4: 5.5}
+        assert mshr.next_completion() == 5.5
+
+
+def _queue_state(queue):
+    return (queue.free_at, queue.total_queue_delay, queue.busy_cycles,
+            queue.n_requests)
+
+
+class TestDRAMBatch:
+    """``enqueue_many`` equals a loop of ``enqueue``, bit for bit."""
+
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_enqueue_many_matches_loop(self, n_channels, seed):
+        rng = random.Random(seed)
+        # A service time that is not a binary fraction, so a closed form
+        # ``start + i * service`` would round differently.
+        batched = DRAMSystem(2.0 / 3.0, n_channels, 128)
+        looped = DRAMSystem(2.0 / 3.0, n_channels, 128)
+        arrival = 0.0
+        for _ in range(50):
+            arrival += rng.choice((0.0, 0.1, 1.0, 7.3, 40.0))
+            lines = [rng.randrange(64) * 128
+                     for _ in range(rng.randrange(0, 33))]
+            for line in lines:
+                looped.enqueue(arrival, line)
+            assert batched.enqueue_many(arrival, lines) is None
+            for ours, theirs in zip(batched.channels, looped.channels):
+                assert _queue_state(ours) == _queue_state(theirs)
+
+    def test_enqueue_burst_matches_loop(self):
+        batched = DRAMQueue(0.1)
+        looped = DRAMQueue(0.1)
+        for arrival, count in ((0.0, 7), (0.3, 0), (0.35, 11), (9.0, 3)):
+            batched.enqueue_burst(arrival, count)
+            for _ in range(count):
+                looped.enqueue(arrival)
+            assert _queue_state(batched) == _queue_state(looped)
 
 
 class TestDRAMQueue:
