@@ -16,15 +16,11 @@ trace-plus-oracle computation three ways:
     Same, with a recording tracer and timeline sampling — the full
     observability cost, recorded for context (not asserted).
 
-Two more pairs cover the telemetry layer:
+One more pair covers the prediction ledger:
 
 ``evaluate`` vs ``evaluate_ledger``
     ``Pipeline.evaluate`` without and with a prediction ledger — the
     per-evaluation JSONL append must stay within the same 5% budget.
-``disabled`` vs ``exporter_idle``
-    The same pipeline run with an un-scraped OpenMetrics exporter
-    serving in the background — an idle exporter thread (asleep in
-    ``select``) must cost nothing measurable.
 
 Each timing is a min-of-N (coldest-cache noise suppressed); the
 assertion allows 5% relative plus a small absolute grace for sub-ms
@@ -38,7 +34,7 @@ import time
 
 from benchmarks.conftest import run_once
 from repro.config import GPUConfig
-from repro.obs import MetricsExporter, MetricsRegistry, PredictionLedger, Tracer
+from repro.obs import PredictionLedger, Tracer
 from repro.pipeline import Pipeline
 from repro.timing.simulator import simulate_kernel
 from repro.trace.emulator import emulate
@@ -101,8 +97,6 @@ def test_bench_obs_overhead(benchmark):
         evaluate_ledger = _min_time(
             lambda: _evaluate_run(ledger=PredictionLedger(ledger_path))
         )
-    with MetricsExporter(MetricsRegistry()):
-        exporter_idle = _min_time(_pipeline_run)
 
     results = {
         "kernel": KERNEL,
@@ -113,11 +107,9 @@ def test_bench_obs_overhead(benchmark):
         "enabled_s": enabled,
         "evaluate_s": evaluate,
         "evaluate_ledger_s": evaluate_ledger,
-        "exporter_idle_s": exporter_idle,
         "disabled_overhead_ratio": disabled / baseline,
         "enabled_overhead_ratio": enabled / baseline,
         "ledger_overhead_ratio": evaluate_ledger / evaluate,
-        "exporter_idle_overhead_ratio": exporter_idle / disabled,
     }
     with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
@@ -137,9 +129,4 @@ def test_bench_obs_overhead(benchmark):
     assert evaluate_ledger <= evaluate * 1.05 + 0.05, (
         "ledger-enabled evaluate %.4fs exceeds plain evaluate %.4fs "
         "by more than 5%%" % (evaluate_ledger, evaluate)
-    )
-    # An idle exporter sleeps in select(); nobody scraping means no work.
-    assert exporter_idle <= disabled * 1.05 + 0.05, (
-        "pipeline run with idle exporter %.4fs exceeds plain run %.4fs "
-        "by more than 5%%" % (exporter_idle, disabled)
     )

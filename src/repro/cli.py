@@ -22,25 +22,14 @@ Subcommands
     Static cost analysis (trip counts, coalescing classes, occupancy,
     CPI bounds) plus the xcheck sanitizer comparing the dynamic trace
     against the static facts; nonzero exit on any xcheck mismatch.
-``concheck``
-    Concurrency- and fork-safety analysis of the codebase itself
-    (thread-escape, lock discipline, pool-boundary pickling, mutable
-    globals); ``--runtime`` adds the lock-sanitizer sweep.  Nonzero
-    exit unless every finding is fixed or allowlisted.
 ``profile``
     Evaluate kernels with tracing, metrics and oracle timeline sampling
     on; writes a Chrome-trace/Perfetto file and prints stage timings.
     ``--sample`` adds the stdlib sampling profiler (collapsed-stack
     flamegraph output, samples attributed to pipeline-stage spans).
-``serve-metrics``
-    Run a sweep with a live OpenMetrics HTTP exporter (``/metrics``,
-    ``/healthz``, ``/spans``) so external scrapers observe it mid-run.
 ``watchdog``
     Accuracy-regression gate: diff per-kernel prediction error between
     a baseline ledger and a current one; nonzero exit on regression.
-``dash``
-    Render the self-contained HTML accuracy dashboard from ledger
-    history (plus checked-in ``BENCH_*.json`` files).
 
 Observability flags (global, also accepted after the subcommand):
 ``-v/--verbose`` raises diagnostic logging (stderr), ``-q/--quiet``
@@ -68,7 +57,7 @@ from repro.harness.reporting import (
     render_stage_table,
     render_table,
 )
-from repro.harness.runner import MODEL_LABELS, MODELS, Runner, nanmean
+from repro.harness.runner import MODEL_LABELS, MODELS, Runner
 from repro.harness.speedup import run_speedup
 from repro.obs import MetricsRegistry, Tracer, set_tracer
 from repro.obs.ledger import DEFAULT_MODEL as LEDGER_DEFAULT_MODEL
@@ -124,7 +113,7 @@ def _add_obs_args(parser: argparse.ArgumentParser,
                         default=default(None),
                         help="append one JSONL prediction record per "
                         "evaluation (provenance + accuracy; see "
-                        "'repro dash' and 'repro watchdog')")
+                        "'repro watchdog')")
 
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
@@ -371,51 +360,6 @@ def _cmd_depcheck(args) -> int:
     return 1 if report.has_errors else 0
 
 
-def _cmd_concheck(args) -> int:
-    from repro.concheck import (
-        Allowlist,
-        ConDiagnostic,
-        analyze_concurrency,
-        runtime_sweep,
-    )
-    from repro.staticcheck.report import Severity
-
-    report = analyze_concurrency()
-    if args.runtime:
-        scale = _SCALES[args.scale]()
-        summary, findings, _kernels = runtime_sweep(
-            scale=scale, jobs=args.jobs
-        )
-        report.runtime = summary
-        for finding in findings:
-            report.diagnostics.append(ConDiagnostic(
-                check_id=finding["check_id"],
-                severity=Severity.ERROR,
-                subject=finding["subject"],
-                message=finding["message"],
-                where="runtime sweep",
-            ))
-
-    allowlist = None
-    if args.allowlist and os.path.exists(args.allowlist):
-        allowlist = Allowlist.load(args.allowlist)
-        report.apply_allowlist(allowlist)
-
-    if args.format == "json":
-        # Machine-readable output bypasses the logging layer (see lint).
-        print(report.to_json())
-    else:
-        emit(report.render_text(verbose=args.show_facts))
-        if allowlist is not None:
-            for entry in allowlist.unused():
-                emit(
-                    "note: stale allowlist entry %s:%d (%s %s) waived "
-                    "nothing" % (allowlist.path, entry.lineno,
-                                 entry.check_id, entry.pattern)
-                )
-    return 0 if report.clean else 1
-
-
 def _cmd_characterize(args) -> int:
     from repro.analysis import (
         characterize,
@@ -532,54 +476,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_serve_metrics(args) -> int:
-    """Run a sweep with the OpenMetrics exporter live.
-
-    The exporter serves the session registry over HTTP for the whole
-    invocation, so an external scraper (Prometheus, ``curl``, the CI
-    smoke job) observes stage counters *while* the sweep runs.  With
-    ``--repeat`` the sweep re-runs; each repetition rotates the ledger
-    run id so it lands as its own point on the dashboard trend line.
-    """
-    import time as _time
-
-    from repro.obs.exporter import MetricsExporter
-
-    names = args.kernels or list(kernel_names())
-    unknown = [n for n in names if n not in SUITE]
-    if unknown:
-        _LOG.error("unknown kernel(s): %s", ", ".join(unknown))
-        return 2
-    runner = _runner(args)
-    requests = [{"kernel": name, "warps_per_core": args.warps}
-                for name in names]
-    ledger = getattr(args, "obs_ledger", None)
-    with MetricsExporter(args.obs_metrics, tracer=args.obs_tracer,
-                         host=args.host, port=args.port) as exporter:
-        emit("serving metrics at %s/metrics (healthz, spans)"
-             % exporter.url)
-        for repetition in range(args.repeat):
-            if repetition and ledger is not None:
-                ledger.rotate_run()
-            results = runner.evaluate_many(requests)
-            mean_err = nanmean(
-                r.error("mt_mshr_band") for r in results
-            )
-            emit("sweep %d/%d: %d kernel(s), mean error %.1f%%"
-                 % (repetition + 1, args.repeat, len(results),
-                    100.0 * mean_err))
-        if args.linger > 0:
-            emit("lingering %.1fs for scrapers (ctrl-C to stop)"
-                 % args.linger)
-            try:
-                _time.sleep(args.linger)
-            except KeyboardInterrupt:
-                pass
-        health = exporter.health()
-    emit("served %d scrape(s); exporter stopped" % health["n_scrapes"])
-    return 0
-
-
 def _cmd_watchdog(args) -> int:
     """Gate accuracy: compare a current ledger against the baseline."""
     import json
@@ -601,22 +497,6 @@ def _cmd_watchdog(args) -> int:
     else:
         emit(report.render_text())
     return 1 if report.has_regressions else 0
-
-
-def _cmd_dash(args) -> int:
-    """Render the self-contained HTML accuracy dashboard."""
-    from repro.obs.dashboard import collect_bench, write_dashboard
-    from repro.obs.ledger import read_ledgers, runs
-
-    records = read_ledgers(args.ledgers)
-    if not records:
-        _LOG.error("no ledger records in %s", ", ".join(args.ledgers))
-        return 2
-    bench = collect_bench(args.bench) if args.bench else None
-    write_dashboard(args.out, records, bench=bench, model=args.model)
-    emit("wrote %s (%d record(s), %d run(s))"
-         % (args.out, len(records), len(runs(records))))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -715,32 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workload scale for the runtime sweep")
     _add_obs_args(depcheck)
 
-    concheck = sub.add_parser(
-        "concheck",
-        help="verify concurrency and fork safety (thread-escape, lock "
-        "discipline, pool-boundary pickling, global-mutable census; "
-        "optionally the runtime lock sanitizer)",
-    )
-    concheck.add_argument("--runtime", action="store_true",
-                          help="also sweep the suite under the "
-                          "REPRO_CONCHECK lock sanitizer with live "
-                          "exporter/sampler threads")
-    concheck.add_argument("--format", choices=("text", "json"),
-                          default="text", help="report output format")
-    concheck.add_argument("--allowlist", default="concheck-allow.txt",
-                          help="justified-exception file (default "
-                          "%(default)s; missing file = empty list)")
-    concheck.add_argument("--scale", choices=sorted(_SCALES),
-                          default="tiny",
-                          help="workload scale for the runtime sweep")
-    concheck.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the runtime sweep "
-                          "(>1 exercises the pool boundary)")
-    concheck.add_argument("--show-facts", action="store_true",
-                          help="list thread roots, lock→field maps, "
-                          "order edges and the global census")
-    _add_obs_args(concheck)
-
     profile = sub.add_parser(
         "profile",
         help="evaluate kernels with span tracing, metrics and a "
@@ -764,27 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=SAMPLE_INTERVAL, metavar="SECONDS",
                          help="sampling period in seconds")
     _add_machine_args(profile)
-
-    serve = sub.add_parser(
-        "serve-metrics",
-        help="run a sweep with a live OpenMetrics HTTP exporter "
-        "(/metrics, /healthz, /spans)",
-    )
-    serve.add_argument("--suite-kernel", action="append", dest="kernels",
-                       metavar="KERNEL", default=None,
-                       help="kernel to evaluate (repeatable; default: "
-                       "the whole suite)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="exporter bind address")
-    serve.add_argument("--port", type=int, default=0,
-                       help="exporter port (0: ephemeral, printed)")
-    serve.add_argument("--repeat", type=int, default=1, metavar="N",
-                       help="run the sweep N times (each repetition is "
-                       "its own ledger run)")
-    serve.add_argument("--linger", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="keep serving after the sweep finishes")
-    _add_machine_args(serve)
 
     watchdog = sub.add_parser(
         "watchdog",
@@ -812,23 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     watchdog.add_argument("--format", choices=("text", "json"),
                           default="text", help="report output format")
     _add_obs_args(watchdog)
-
-    dash = sub.add_parser(
-        "dash",
-        help="render the self-contained HTML accuracy dashboard from "
-        "ledger history",
-    )
-    dash.add_argument("ledgers", nargs="+", metavar="LEDGER",
-                      help="ledger JSONL file(s) to aggregate")
-    dash.add_argument("--out", default="repro-dash.html", metavar="FILE",
-                      help="output HTML file")
-    dash.add_argument("--bench", default=None, metavar="DIR",
-                      help="directory holding BENCH_*.json files to "
-                      "include (e.g. the repo root)")
-    dash.add_argument("--model", default=LEDGER_DEFAULT_MODEL,
-                      choices=MODELS,
-                      help="model whose error the trends show")
-    _add_obs_args(dash)
 
     return parser
 
@@ -864,11 +680,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint": _cmd_lint,
         "analyze": _cmd_analyze,
         "depcheck": _cmd_depcheck,
-        "concheck": _cmd_concheck,
         "profile": _cmd_profile,
-        "serve-metrics": _cmd_serve_metrics,
         "watchdog": _cmd_watchdog,
-        "dash": _cmd_dash,
     }
     try:
         with tracer.span(args.command, category="cli"):

@@ -56,8 +56,7 @@ def _is_classish(name: str) -> bool:
     """Whether a bare name plausibly denotes a class.
 
     Covers both public ``CamelCase`` names and the module-private
-    ``_CamelCase`` convention (``_ExporterServer``, ``_SpanHandle``)
-    the concurrency analyzer has to see through.
+    ``_CamelCase`` convention (``_SpanHandle``).
     """
     stripped = name.lstrip("_")
     return bool(stripped) and stripped[0].isupper()
@@ -129,10 +128,6 @@ class ModuleInfo:
     #: ``from repro.trace.emulator import emulate``, "repro.arch" for
     #: ``import repro.arch``).
     imports: Dict[str, str] = field(default_factory=dict)
-    #: Module-level name -> the value expression last assigned to it
-    #: (``Assign``/``AnnAssign`` at module scope; annotation-only
-    #: declarations are skipped).  Feeds the global-mutable census.
-    global_assigns: Dict[str, ast.expr] = field(default_factory=dict)
 
 
 def _collect_imports(body: List[ast.stmt], into: Dict[str, str]) -> None:
@@ -316,14 +311,6 @@ class ModuleIndex:
         info = ModuleInfo(name=name, node=tree)
         _collect_imports(tree.body, info.imports)
         for stmt in tree.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        info.global_assigns[target.id] = stmt.value
-            elif (isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and stmt.value is not None):
-                info.global_assigns[stmt.target.id] = stmt.value
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info.functions[stmt.name] = FunctionInfo(
                     qualname="%s.%s" % (name, stmt.name),

@@ -20,10 +20,37 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from scipy import stats as scipy_stats
+import numpy as np
 
 from repro.harness.reporting import render_table
 from repro.harness.runner import MODEL_LABELS, MODELS, KernelResult
+
+
+def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    """Pearson correlation coefficient of two equal-length samples."""
+    dx = np.asarray(x, dtype=float)
+    dy = np.asarray(y, dtype=float)
+    dx = dx - dx.mean()
+    dy = dy - dy.mean()
+    r = np.dot(dx / np.linalg.norm(dx), dy / np.linalg.norm(dy))
+    return float(np.clip(r, -1.0, 1.0))
+
+
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their average rank."""
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=float), return_inverse=True,
+        return_counts=True,
+    )
+    # Group k of the sorted unique values spans ranks
+    # ends[k] - counts[k] + 1 .. ends[k]; its average is the midpoint.
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
+
+
+def _spearman(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman rank correlation: Pearson over average ranks."""
+    return _pearson(_average_ranks(x), _average_ranks(y))
 
 
 @dataclass
@@ -67,8 +94,8 @@ def validate_model(
     predicted = [r.model_cpis[model] for r in results]
     measured = [r.oracle_cpi for r in results]
     if len(results) >= 2 and len(set(measured)) > 1 and len(set(predicted)) > 1:
-        pearson = float(scipy_stats.pearsonr(predicted, measured)[0])
-        spearman = float(scipy_stats.spearmanr(predicted, measured)[0])
+        pearson = _pearson(predicted, measured)
+        spearman = _spearman(predicted, measured)
     else:
         pearson = float("nan")
         spearman = float("nan")

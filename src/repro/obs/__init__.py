@@ -13,21 +13,14 @@
 ``schema``
     Checked-in JSON schemas for every exported format plus a
     dependency-free validator (also a CLI: ``python -m repro.obs.schema``).
-``openmetrics`` / ``exporter``
-    OpenMetrics text exposition of any metrics snapshot and the
-    stdlib HTTP exporter serving it live (``/metrics``, ``/healthz``,
-    ``/spans``; CLI face ``repro serve-metrics``).
 ``sampler``
     Stdlib sampling profiler (collapsed-stack flamegraph export,
     span-attributed; CLI face ``repro profile --sample``).
-``ledger`` / ``dashboard``
-    Append-only JSONL prediction ledger, the accuracy-regression
-    watchdog over it (``repro watchdog``), and the self-contained
-    HTML dashboard (``repro dash``).
+``ledger``
+    Append-only JSONL prediction ledger and the accuracy-regression
+    watchdog over it (``repro watchdog``).
 """
 
-from repro.obs.dashboard import collect_bench, render_dashboard, write_dashboard
-from repro.obs.exporter import OPENMETRICS_CONTENT_TYPE, MetricsExporter
 from repro.obs.ledger import (
     DEFAULT_MODEL,
     PredictionLedger,
@@ -50,11 +43,6 @@ from repro.obs.metrics import (
     render_key,
     unescape_label_value,
 )
-from repro.obs.openmetrics import (
-    render_openmetrics,
-    validate_openmetrics,
-    validate_openmetrics_file,
-)
 from repro.obs.sampler import SamplingProfiler
 from repro.obs.timeline import Timeline, TimelineSample
 from repro.obs.tracer import (
@@ -72,10 +60,8 @@ __all__ = [
     "DEFAULT_MS_BUCKETS",
     "GaugeMetric",
     "HistogramMetric",
-    "MetricsExporter",
     "MetricsRegistry",
     "NULL_TRACER",
-    "OPENMETRICS_CONTENT_TYPE",
     "PredictionLedger",
     "RATIO_BUCKETS",
     "SamplingProfiler",
@@ -85,21 +71,15 @@ __all__ = [
     "WatchdogReport",
     "WatchdogRow",
     "build_record",
-    "collect_bench",
     "compare_ledgers",
     "diff_snapshots",
     "escape_label_value",
     "get_tracer",
     "read_ledger",
     "read_ledgers",
-    "render_dashboard",
     "render_key",
-    "render_openmetrics",
     "set_tracer",
     "unescape_label_value",
-    "validate_openmetrics",
-    "validate_openmetrics_file",
     "write_chrome_trace",
-    "write_dashboard",
     "write_jsonl",
 ]

@@ -10,15 +10,11 @@ timings).  Append-only JSONL keeps writes atomic enough for concurrent
 pool workers (one ``O_APPEND`` line per record) and trivially
 mergeable across machines — ``cat`` is the merge operator.
 
-On top of the record stream sit the two consumers this module also
-houses:
-
-* :func:`compare_ledgers` — the **accuracy-regression watchdog**: given
-  a checked-in baseline ledger and a fresh run, it diffs per-kernel
-  prediction error and flags every kernel whose error regressed beyond
-  tolerance (the CI gate; CLI face ``repro watchdog``);
-* :func:`runs` / :func:`per_kernel_errors` — the aggregations the HTML
-  dashboard (:mod:`repro.obs.dashboard`) renders as trend tables.
+On top of the record stream sits :func:`compare_ledgers`, the
+**accuracy-regression watchdog**: given a checked-in baseline ledger and
+a fresh run, it diffs per-kernel prediction error
+(:func:`per_kernel_errors`) and flags every kernel whose error regressed
+beyond tolerance (the CI gate; CLI face ``repro watchdog``).
 
 Records validate against ``schemas/ledger.schema.json``
 (``python -m repro.obs.schema ledger ledger.jsonl``).
@@ -32,7 +28,7 @@ import os
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 #: The model whose error the watchdog guards by default: full GPUMech.
 DEFAULT_MODEL = "mt_mshr_band"
@@ -55,10 +51,8 @@ class PredictionLedger:
     """Appends prediction records to a JSONL file.
 
     One ledger instance = one *run*: every record it appends shares a
-    ``run_id``, which is how the dashboard groups a sweep's records
-    into a point on the trend line.  :meth:`rotate_run` starts a new
-    run on the same file (``repro serve-metrics --repeat N`` rotates
-    between sweeps so each repetition is its own dashboard point).
+    ``run_id``, so the records of one sweep stay distinguishable after
+    several runs were appended to (or ``cat``-merged into) one file.
 
     Instances hold only the path and run id — no open handle — so they
     pickle into pool workers, and every worker appends to the same
@@ -68,11 +62,6 @@ class PredictionLedger:
     def __init__(self, path: str, run_id: Optional[str] = None):
         self.path = path
         self.run_id = run_id if run_id else uuid.uuid4().hex[:12]
-
-    def rotate_run(self, run_id: Optional[str] = None) -> str:
-        """Start a new run id; subsequent records belong to it."""
-        self.run_id = run_id if run_id else uuid.uuid4().hex[:12]
-        return self.run_id
 
     def append(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Stamp ``ts``/``run_id`` onto a record and append it."""
@@ -164,17 +153,6 @@ def read_ledgers(paths: Sequence[str]) -> List[Dict[str, Any]]:
     for path in paths:
         records.extend(read_ledger(path))
     return records
-
-
-def runs(records: Iterable[Dict[str, Any]]) -> List[Tuple[str, List[Dict[str, Any]]]]:
-    """Records grouped by ``run_id``, runs ordered by first timestamp."""
-    grouped: Dict[str, List[Dict[str, Any]]] = {}
-    for record in records:
-        grouped.setdefault(record.get("run_id", "?"), []).append(record)
-    return sorted(
-        grouped.items(),
-        key=lambda kv: min(r.get("ts", 0.0) for r in kv[1]),
-    )
 
 
 def per_kernel_errors(

@@ -19,11 +19,10 @@ histograms stay exact (to bucket resolution) without storing samples.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from collections import Counter as _Counter
-
-from repro.concheck.runtime import make_lock, site_access
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -104,8 +103,7 @@ class CounterMetric:
     """Monotonically increasing value (int or float).
 
     Mutations serialize on a per-metric lock so concurrent ``inc``
-    calls from the exporter's handler threads, the sampler and the
-    pipeline never lose an update.  Reading ``value`` without the lock
+    calls from several threads never lose an update.  Reading ``value`` without the lock
     stays safe (one attribute load of an immutable number) and is the
     documented snapshot idiom.
     """
@@ -114,13 +112,12 @@ class CounterMetric:
 
     def __init__(self) -> None:
         self.value: float = 0
-        self._lock = make_lock("CounterMetric._lock")
+        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase; got %r" % (amount,))
         with self._lock:
-            site_access("CounterMetric.value")
             self.value += amount
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -128,7 +125,7 @@ class CounterMetric:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.value = state["value"]
-        self._lock = make_lock("CounterMetric._lock")
+        self._lock = threading.Lock()
 
 
 class GaugeMetric:
@@ -138,11 +135,10 @@ class GaugeMetric:
 
     def __init__(self) -> None:
         self.value: float = 0.0
-        self._lock = make_lock("GaugeMetric._lock")
+        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
-            site_access("GaugeMetric.value")
             self.value = float(value)
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -150,7 +146,7 @@ class GaugeMetric:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.value = state["value"]
-        self._lock = make_lock("GaugeMetric._lock")
+        self._lock = threading.Lock()
 
 
 class HistogramMetric:
@@ -171,12 +167,11 @@ class HistogramMetric:
         self.sum: float = 0.0
         self.count: int = 0
         self.max: float = 0.0
-        self._lock = make_lock("HistogramMetric._lock")
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            site_access("HistogramMetric.counts")
             self.sum += value
             self.count += 1
             if value > self.max:
@@ -195,7 +190,6 @@ class HistogramMetric:
                 % entry["name"]
             )
         with self._lock:
-            site_access("HistogramMetric.counts")
             for i, n in enumerate(entry["counts"]):
                 self.counts[i] += n
             self.sum += entry["sum"]
@@ -206,7 +200,6 @@ class HistogramMetric:
     def entry(self) -> Dict[str, Any]:
         """Consistent multi-field dump (the tear-free read path)."""
         with self._lock:
-            site_access("HistogramMetric.counts", write=False)
             return {
                 "bounds": list(self.bounds),
                 "counts": list(self.counts),
@@ -256,14 +249,14 @@ class HistogramMetric:
         self.sum = state["sum"]
         self.count = state["count"]
         self.max = state["max"]
-        self._lock = make_lock("HistogramMetric._lock")
+        self._lock = threading.Lock()
 
 
 class MetricsRegistry:
     """Named, labeled metrics with snapshot/merge/diff support."""
 
     def __init__(self) -> None:
-        self._lock = make_lock("MetricsRegistry._lock")
+        self._lock = threading.Lock()
         self._counters: Dict[Tuple[str, LabelItems], CounterMetric] = {}
         self._gauges: Dict[Tuple[str, LabelItems], GaugeMetric] = {}
         self._histograms: Dict[Tuple[str, LabelItems], HistogramMetric] = {}
@@ -281,7 +274,6 @@ class MetricsRegistry:
         metric = self._counters.get(key)
         if metric is None:
             with self._lock:
-                site_access("MetricsRegistry._counters")
                 metric = self._counters.setdefault(key, CounterMetric())
         return metric
 
@@ -290,7 +282,6 @@ class MetricsRegistry:
         metric = self._gauges.get(key)
         if metric is None:
             with self._lock:
-                site_access("MetricsRegistry._gauges")
                 metric = self._gauges.setdefault(key, GaugeMetric())
         return metric
 
@@ -301,7 +292,6 @@ class MetricsRegistry:
         metric = self._histograms.get(key)
         if metric is None:
             with self._lock:
-                site_access("MetricsRegistry._histograms")
                 metric = self._histograms.setdefault(
                     key, HistogramMetric(buckets)
                 )
@@ -379,7 +369,7 @@ class MetricsRegistry:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._lock = make_lock("MetricsRegistry._lock")
+        self._lock = threading.Lock()
 
 
 def _index(entries: Iterable[Dict[str, Any]]):

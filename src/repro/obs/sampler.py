@@ -32,7 +32,6 @@ import time
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.concheck.runtime import make_lock, site_access
 from repro.obs.tracer import Tracer
 
 #: Default sampling period in seconds (~97 Hz; a prime-ish rate avoids
@@ -71,14 +70,14 @@ class SamplingProfiler:
         #: pid that called start(); a mismatch means we inherited a
         #: started profiler across fork and its thread is not ours.
         self._pid: Optional[int] = None
-        self._lock = make_lock("SamplingProfiler._lock")
+        self._lock = threading.Lock()
 
     # -- lifecycle ----------------------------------------------------------
 
     def _forked(self) -> bool:
         """True in a forked child holding the parent's sampler state.
 
-        concheck: caller-holds SamplingProfiler._lock
+        The caller holds ``_lock``.
         """
         return self._pid is not None and self._pid != os.getpid()
 
@@ -152,7 +151,6 @@ class SamplingProfiler:
                 # Taken after the tracer lock is released: the sampler
                 # lock stays a leaf in the lock-order graph.
                 with self._lock:
-                    site_access("SamplingProfiler._stacks")
                     self._stacks[tuple(stack)] += 1
                     self.n_samples += 1
         finally:
@@ -163,7 +161,6 @@ class SamplingProfiler:
     def stacks(self) -> Dict[Tuple[str, ...], int]:
         """Snapshot of the collapsed-stack counter."""
         with self._lock:
-            site_access("SamplingProfiler._stacks", write=False)
             return dict(self._stacks)
 
     def collapsed(self) -> List[str]:

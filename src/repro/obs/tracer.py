@@ -32,8 +32,6 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.concheck.runtime import make_lock, site_access
-
 #: Per-process span id source; combined with ``pid`` ids are globally
 #: unique, and 0 is reserved for "no parent".
 _IDS = itertools.count(1)
@@ -79,7 +77,6 @@ class _SpanHandle:
         # sampler reads this map from its own thread, so every mutation
         # happens under the tracer lock.
         with tracer._lock:
-            site_access("Tracer._open_names")
             names = tracer._open_names
             names.setdefault(threading.get_ident(), []).append(self.name)
         self._start = time.perf_counter()
@@ -107,13 +104,11 @@ class _SpanHandle:
         if exc_type is not None:
             record["error"] = exc_type.__name__
         with tracer._lock:
-            site_access("Tracer._open_names")
             open_names = tracer._open_names.get(tid)
             if open_names:
                 open_names.pop()
                 if not open_names:
                     tracer._open_names.pop(tid, None)
-            site_access("Tracer._spans")
             tracer._spans.append(record)
         return False
 
@@ -125,7 +120,7 @@ class Tracer:
         self.enabled = enabled
         #: perf_counter value mapped to ts=0; shared across processes.
         self.epoch = time.perf_counter()
-        self._lock = make_lock("Tracer._lock")
+        self._lock = threading.Lock()
         self._local = threading.local()
         self._spans: List[Dict[str, Any]] = []
         #: thread ident → names of that thread's currently-open spans
@@ -159,7 +154,6 @@ class Tracer:
         if args:
             record["args"] = dict(args)
         with self._lock:
-            site_access("Tracer._spans")
             self._spans.append(record)
 
     def _stack(self) -> List[int]:
@@ -181,7 +175,6 @@ class Tracer:
         if tid is None:
             tid = threading.get_ident()
         with self._lock:
-            site_access("Tracer._open_names", write=False)
             return tuple(self._open_names.get(tid, ()))
 
     # -- collection ---------------------------------------------------------
@@ -189,26 +182,22 @@ class Tracer:
     @property
     def n_spans(self) -> int:
         with self._lock:
-            site_access("Tracer._spans", write=False)
             return len(self._spans)
 
     def spans(self) -> List[Dict[str, Any]]:
         """Snapshot of all finished spans (oldest first)."""
         with self._lock:
-            site_access("Tracer._spans", write=False)
             return list(self._spans)
 
     def drain(self) -> List[Dict[str, Any]]:
         """Remove and return all finished spans (worker → parent hop)."""
         with self._lock:
-            site_access("Tracer._spans")
             spans, self._spans = self._spans, []
         return spans
 
     def merge(self, spans: Iterable[Dict[str, Any]]) -> None:
         """Fold spans drained from another tracer (e.g. a pool worker)."""
         with self._lock:
-            site_access("Tracer._spans")
             self._spans.extend(spans)
 
     # -- export -------------------------------------------------------------
@@ -232,7 +221,7 @@ class Tracer:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.enabled = state["enabled"]
         self.epoch = state["epoch"]
-        self._lock = make_lock("Tracer._lock")
+        self._lock = threading.Lock()
         self._local = threading.local()
         self._spans = []
         self._open_names = {}

@@ -189,8 +189,7 @@ class Pipeline:
     # access builds a fresh Counter from the metrics registry (the item
     # list is copied under the registry lock, counter values are single
     # atomic attribute reads).  Mutating the returned object affects
-    # nothing, and concurrent scrapes/increments can never tear it —
-    # see docs/concurrency.md.
+    # nothing, and concurrent reads/increments can never tear it.
 
     @property
     def counters(self) -> Counter:

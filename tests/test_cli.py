@@ -1,8 +1,34 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+class TestImportWeight:
+    def test_cli_import_pulls_in_no_heavy_modules(self):
+        # Module names, unlike wall time, are deterministic: scipy alone
+        # once cost more than a second of every CLI start.
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, repro.cli; print(json.dumps(list(sys.modules)))"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = json.loads(out)
+        assert "repro.cli" in loaded
+        heavy = [m for m in loaded
+                 if m == "http.server" or m == "scipy"
+                 or m.startswith("scipy.")]
+        assert heavy == []
 
 
 class TestParser:

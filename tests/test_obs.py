@@ -287,6 +287,45 @@ class TestMetrics:
         assert render_key("n", (("a", "1"), ("b", "2"))) == "n{a=1,b=2}"
 
 
+class TestMetricsStress:
+    N_THREADS = 8
+    N_ITER = 300
+
+    def test_hammered_registry_loses_no_updates(self):
+        registry = MetricsRegistry()
+
+        def hammer(worker_id):
+            for i in range(self.N_ITER):
+                registry.counter("stress_total").inc()
+                registry.counter(
+                    "stress_labeled_total", worker=str(worker_id)
+                ).inc(2)
+                registry.gauge("stress_gauge").set(i)
+                registry.histogram("stress_ms").observe(i % 50)
+
+        workers = [
+            threading.Thread(target=hammer, args=(worker_id,))
+            for worker_id in range(self.N_THREADS)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+
+        expected = self.N_THREADS * self.N_ITER
+        assert registry.counter_value("stress_total") == expected
+        for worker_id in range(self.N_THREADS):
+            assert registry.counter_value(
+                "stress_labeled_total", worker=str(worker_id)
+            ) == 2 * self.N_ITER
+        histogram = registry.histogram("stress_ms")
+        assert histogram.count == expected
+        assert sum(histogram.counts) == expected
+        assert histogram.sum == self.N_THREADS * sum(
+            i % 50 for i in range(self.N_ITER)
+        )
+
+
 class TestTimeline:
     def test_deltas_from_cumulative_samples(self):
         timeline = Timeline(interval=100.0)

@@ -8,7 +8,7 @@ import pytest
 from repro.config import GPUConfig
 from repro.harness.reporting import render_stage_table
 from repro.harness.runner import Runner
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, PredictionLedger, Tracer, read_ledger
 from repro.pipeline import EvalRequest, Pipeline
 from repro.workloads import Scale
 
@@ -145,9 +145,10 @@ class TestStageSpans:
 
 
 class TestParallelMerge:
-    def _run(self, config, jobs):
+    def _run(self, config, jobs, tracer=None, ledger=None):
         runner = Runner(config, Scale.tiny(), jobs=jobs,
-                        metrics=MetricsRegistry())
+                        metrics=MetricsRegistry(), tracer=tracer,
+                        ledger=ledger)
         results = runner.evaluate_many(_requests())
         return results, runner.metrics
 
@@ -170,13 +171,31 @@ class TestParallelMerge:
         assert timings["oracle"] > 0.0
 
     def test_parallel_counters_match_serial_under_spawn(
-        self, config, monkeypatch
+        self, config, monkeypatch, tmp_path
     ):
+        # spawn pickles everything a worker gets, so the tracer and the
+        # ledger riding along must cross the pool boundary intact.
+        tracer = Tracer()
+        ledger = PredictionLedger(str(tmp_path / "ledger.jsonl"))
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        _, parallel_metrics = self._run(config, jobs=2)
+        parallel_results, parallel_metrics = self._run(
+            config, jobs=2, tracer=tracer, ledger=ledger
+        )
         monkeypatch.delenv("REPRO_START_METHOD")
-        _, serial_metrics = self._run(config, jobs=1)
+        serial_results, serial_metrics = self._run(config, jobs=1)
         assert _stage_runs(parallel_metrics) == _stage_runs(serial_metrics)
+        assert [r.oracle_cpi for r in parallel_results] == [
+            r.oracle_cpi for r in serial_results
+        ]
+        assert [r.model_cpis for r in parallel_results] == [
+            r.model_cpis for r in serial_results
+        ]
+        records = read_ledger(ledger.path)
+        assert sorted(r["kernel"] for r in records) == sorted(SWEEP)
+        assert {r["run_id"] for r in records} == {ledger.run_id}
+        worker_stages = {s["name"] for s in tracer.spans()
+                         if s["pid"] != os.getpid() and s["cat"] == "stage"}
+        assert "oracle" in worker_stages
 
     def test_worker_spans_merged_with_child_pids(self, config):
         tracer = Tracer()

@@ -1,22 +1,18 @@
-"""Telemetry stack: OpenMetrics exposition, the live HTTP exporter,
-the sampling profiler, the prediction ledger and its watchdog, and the
-HTML dashboard."""
+"""Telemetry stack: label escaping, snapshot merge/diff, the sampling
+profiler, and the prediction ledger and its watchdog."""
 
 import json
 import math
+import os
 import pickle
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.config import GPUConfig
 from repro.harness.runner import Runner
 from repro.obs import (
-    MetricsExporter,
     MetricsRegistry,
-    OPENMETRICS_CONTENT_TYPE,
     PredictionLedger,
     SamplingProfiler,
     Tracer,
@@ -24,27 +20,18 @@ from repro.obs import (
     diff_snapshots,
     escape_label_value,
     read_ledger,
-    render_dashboard,
     render_key,
-    render_openmetrics,
     unescape_label_value,
-    validate_openmetrics,
 )
-from repro.obs.ledger import per_kernel_errors, runs
-from repro.obs.openmetrics import metric_name, parse_labels
+from repro.obs.ledger import per_kernel_errors
 from repro.obs.sampler import profile_call, wait_for_samples
-from repro.obs.schema import load_schema, validate, validate_file
+from repro.obs.schema import load_schema, validate
 from repro.workloads import Scale
 
 
 @pytest.fixture
 def config():
     return GPUConfig.small(n_cores=2, warps_per_core=8)
-
-
-def _fetch(url):
-    with urllib.request.urlopen(url, timeout=5.0) as response:
-        return response.status, dict(response.headers), response.read()
 
 
 # ---------------------------------------------------------------------------
@@ -196,204 +183,6 @@ class TestSnapshotMergeDiff:
 
 
 # ---------------------------------------------------------------------------
-# OpenMetrics exposition
-# ---------------------------------------------------------------------------
-
-
-class TestOpenMetrics:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.counter("pipeline.stage_executions", stage="trace").inc(2)
-        registry.counter("pipeline.stage_executions", stage="oracle").inc()
-        registry.gauge("workers.active").set(3)
-        hist = registry.histogram("stage.ms", buckets=(1, 10, 100),
-                                  stage="trace")
-        hist.observe(0.5)
-        hist.observe(42.0)
-        return registry
-
-    def test_render_validates_clean(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert validate_openmetrics(text) == []
-
-    def test_counter_renamed_to_total(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert "# TYPE pipeline_stage_executions counter" in text
-        assert 'pipeline_stage_executions_total{stage="trace"} 2' in text
-
-    def test_gauge_plain(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert "# TYPE workers_active gauge" in text
-        assert "workers_active 3" in text
-
-    def test_histogram_cumulative_with_inf_sum_count(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert 'stage_ms_bucket{stage="trace",le="1"} 1' in text
-        assert 'stage_ms_bucket{stage="trace",le="100"} 2' in text
-        assert 'stage_ms_bucket{stage="trace",le="+Inf"} 2' in text
-        assert 'stage_ms_sum{stage="trace"} 42.5' in text
-        assert 'stage_ms_count{stage="trace"} 2' in text
-
-    def test_ends_with_eof(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert text.endswith("# EOF\n")
-
-    def test_label_escapes_round_trip_through_parse(self):
-        registry = MetricsRegistry()
-        nasty = 'ker"nel\\with\nnewline'
-        registry.counter("runs", kernel=nasty).inc()
-        text = render_openmetrics(registry.snapshot())
-        assert validate_openmetrics(text) == []
-        sample = [line for line in text.splitlines()
-                  if line.startswith("runs_total{")][0]
-        labels = parse_labels(sample[len("runs_total{"):sample.index("} ")])
-        assert labels == {"kernel": nasty}
-
-    def test_metric_name_sanitization(self):
-        assert metric_name("pipeline.stage_ms") == "pipeline_stage_ms"
-        assert metric_name("9lives") == "_9lives"
-        assert metric_name("a-b c") == "a_b_c"
-
-    def test_type_collision_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("stage.ms").inc()
-        registry.histogram("stage_ms", buckets=(1,)).observe(0.5)
-        with pytest.raises(ValueError):
-            render_openmetrics(registry.snapshot())
-
-    # -- the validator actually catches broken documents --------------------
-
-    def test_validator_rejects_missing_eof(self):
-        assert any("EOF" in e for e in validate_openmetrics(
-            "# TYPE a counter\na_total 1\n"
-        ))
-
-    def test_validator_rejects_non_cumulative_buckets(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 5\nh_bucket{le="2"} 3\n'
-                'h_bucket{le="+Inf"} 5\nh_sum 1\nh_count 5\n# EOF\n')
-        assert any("cumulative" in e for e in validate_openmetrics(text))
-
-    def test_validator_rejects_inf_count_mismatch(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 1\nh_bucket{le="+Inf"} 2\n'
-                "h_sum 1\nh_count 3\n# EOF\n")
-        assert any("_count" in e for e in validate_openmetrics(text))
-
-    def test_validator_rejects_counter_without_total(self):
-        text = "# TYPE c counter\nc 1\n# EOF\n"
-        assert any("_total" in e for e in validate_openmetrics(text))
-
-    def test_validator_rejects_negative_counter(self):
-        text = "# TYPE c counter\nc_total -1\n# EOF\n"
-        assert any("negative" in e for e in validate_openmetrics(text))
-
-    def test_validator_rejects_garbage_line(self):
-        text = "# TYPE c counter\nnot a sample line at all !\n# EOF\n"
-        assert validate_openmetrics(text)
-
-    def test_schema_cli_dispatches_openmetrics(self, tmp_path):
-        good = tmp_path / "good.om"
-        good.write_text(render_openmetrics(self._registry().snapshot()))
-        assert validate_file("openmetrics", str(good)) == []
-        bad = tmp_path / "bad.om"
-        bad.write_text("# TYPE c counter\nc_total -1\n")
-        assert validate_file("openmetrics", str(bad))
-
-
-# ---------------------------------------------------------------------------
-# HTTP exporter
-# ---------------------------------------------------------------------------
-
-
-class TestExporter:
-    def test_metrics_endpoint_serves_valid_openmetrics(self):
-        registry = MetricsRegistry()
-        registry.counter("runs", kernel="vectoradd").inc(7)
-        with MetricsExporter(registry) as exporter:
-            status, headers, body = _fetch(exporter.url + "/metrics")
-        assert status == 200
-        assert headers["Content-Type"] == OPENMETRICS_CONTENT_TYPE
-        text = body.decode("utf-8")
-        assert validate_openmetrics(text) == []
-        assert 'runs_total{kernel="vectoradd"} 7' in text
-
-    def test_scrape_mid_run_sees_live_counters(self, config):
-        """The acceptance check: a sweep is scrapeable *while* it runs,
-        every scrape a valid exposition, counters visibly advancing."""
-        runner = Runner(config, Scale.tiny())
-        done = threading.Event()
-
-        def sweep():
-            try:
-                for kernel in ("vectoradd", "strided_deg8"):
-                    runner.evaluate(kernel, warps_per_core=4)
-            finally:
-                done.set()
-
-        with MetricsExporter(runner.metrics) as exporter:
-            thread = threading.Thread(target=sweep, daemon=True)
-            thread.start()
-            mid_run_scrapes = 0
-            last = ""
-            while not done.is_set():
-                _, _, body = _fetch(exporter.url + "/metrics")
-                last = body.decode("utf-8")
-                assert validate_openmetrics(last) == []
-                mid_run_scrapes += 1
-            thread.join(timeout=30.0)
-            _, _, body = _fetch(exporter.url + "/metrics")
-            final = body.decode("utf-8")
-        assert mid_run_scrapes >= 1
-        assert validate_openmetrics(final) == []
-        assert "pipeline_stage_executions_total" in final
-        assert exporter.n_scrapes == mid_run_scrapes + 1
-        assert last  # at least one mid-run exposition was non-empty
-
-    def test_healthz(self):
-        with MetricsExporter(MetricsRegistry()) as exporter:
-            status, _, body = _fetch(exporter.url + "/healthz")
-        assert status == 200
-        health = json.loads(body)
-        assert health["status"] == "ok"
-        assert health["n_spans"] == 0
-
-    def test_spans_endpoint_streams_ndjson(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        with MetricsExporter(MetricsRegistry(), tracer=tracer) as exporter:
-            status, headers, body = _fetch(exporter.url + "/spans")
-        assert status == 200
-        assert headers["Content-Type"] == "application/x-ndjson"
-        names = [json.loads(line)["name"]
-                 for line in body.decode().splitlines()]
-        assert set(names) == {"outer", "inner"}
-
-    def test_unknown_path_404(self):
-        with MetricsExporter(MetricsRegistry()) as exporter:
-            try:
-                _fetch(exporter.url + "/nope")
-                status = 200
-            except urllib.error.HTTPError as exc:
-                status = exc.code
-                payload = json.loads(exc.read())
-        assert status == 404
-        assert "/metrics" in payload["endpoints"]
-
-    def test_lifecycle_idempotent(self):
-        exporter = MetricsExporter(MetricsRegistry())
-        assert not exporter.running
-        exporter.start()
-        exporter.start()
-        assert exporter.running and exporter.port > 0
-        exporter.stop()
-        exporter.stop()
-        assert not exporter.running
-
-
-# ---------------------------------------------------------------------------
 # Sampling profiler
 # ---------------------------------------------------------------------------
 
@@ -474,6 +263,24 @@ class TestSampler:
         with pytest.raises(ValueError):
             SamplingProfiler(interval=0.0)
 
+    def test_sampler_drops_simulated_stale_handle(self):
+        sampler = SamplingProfiler(interval=0.005)
+        sampler.start()
+        try:
+            assert sampler.running
+            # Stop the sampling thread, then claim another pid started
+            # it: exactly the state a forked child inherits.
+            sampler._stop.set()
+            sampler._thread.join(timeout=5.0)
+            sampler._pid += 1
+            assert not sampler.running
+            sampler.start()  # must drop the stale handle and restart
+            assert sampler.running
+            assert sampler._pid == os.getpid()
+        finally:
+            sampler.stop()
+        assert not sampler.running
+
 
 class TestTracerOpenSpans:
     def test_open_span_names_nesting(self):
@@ -528,16 +335,6 @@ class TestLedger:
         assert records[0]["run_id"] == ledger.run_id
         assert records[0]["ts"] > 0
         assert records[1]["value"] is None  # NaN sanitized, not 0.0
-
-    def test_rotate_run(self, tmp_path):
-        ledger = PredictionLedger(str(tmp_path / "l.jsonl"))
-        first = ledger.run_id
-        ledger.append({"kernel": "a"})
-        second = ledger.rotate_run()
-        ledger.append({"kernel": "a"})
-        assert first != second
-        grouped = runs(read_ledger(ledger.path))
-        assert [run_id for run_id, _ in grouped] == [first, second]
 
     def test_ledger_is_picklable(self, tmp_path):
         ledger = PredictionLedger(str(tmp_path / "l.jsonl"))
@@ -686,79 +483,6 @@ class TestWatchdog:
 
 
 # ---------------------------------------------------------------------------
-# Dashboard
-# ---------------------------------------------------------------------------
-
-
-def _ledger_history():
-    records = []
-    for i, run_id in enumerate(("run-1", "run-2", "run-3")):
-        for kernel, base in (("vectoradd", 0.02), ("strided_deg8", 0.06)):
-            records.append({
-                "kernel": kernel, "run_id": run_id, "ts": 10.0 * i + 1,
-                "arch": "gpumech2014", "backend": "vectorized",
-                "oracle_cpi": 2.0,
-                "model_cpis": {"mt_mshr_band": 2.0 * (1 + base + 0.01 * i)},
-                "errors": {"mt_mshr_band": base + 0.01 * i},
-                "cpi_stack": {"BASE": 1.0, "DEP": 0.4, "L1": 0.2,
-                              "L2": 0.1, "DRAM": 0.2, "MSHR": 0.05,
-                              "QUEUE": 0.05, "SFU": 0.0, "SMEM": 0.0},
-                "cache": {"l1_miss_rate": 0.3 + 0.01 * i,
-                          "l2_miss_rate": 0.5},
-            })
-    return records
-
-
-class TestDashboard:
-    def test_renders_multi_run_history(self):
-        html = render_dashboard(_ledger_history())
-        assert "<svg" in html and "polyline" in html
-        assert "Prediction error per kernel" in html
-        assert "CPI-stack attribution" in html
-        assert "Cache miss-rate trends" in html
-        assert "vectoradd" in html and "strided_deg8" in html
-        assert "3 run(s)" in html
-
-    def test_drift_direction_marked_not_color_alone(self):
-        html = render_dashboard(_ledger_history())
-        assert "▲" in html  # errors rise across the synthetic runs
-
-    def test_dark_mode_is_selected_palette(self):
-        html = render_dashboard(_ledger_history())
-        assert "prefers-color-scheme: dark" in html
-        assert 'data-theme="dark"' in html
-        assert "#3987e5" in html  # dark-mode series-1, not an auto-invert
-
-    def test_kernel_names_are_escaped(self):
-        records = _ledger_history()
-        for record in records:
-            record["kernel"] = "<script>alert(1)</script>"
-        html = render_dashboard(records)
-        assert "<script>alert" not in html
-
-    def test_single_run_renders_without_sparklines(self):
-        records = [r for r in _ledger_history() if r["run_id"] == "run-1"]
-        html = render_dashboard(records)
-        assert "1 run(s)" in html
-        assert "n/a" in html  # a 1-point trend is not a line
-
-    def test_bench_table(self, tmp_path):
-        (tmp_path / "BENCH_obs.json").write_text(
-            json.dumps({"baseline_s": 1.5, "enabled_s": 1.6, "note": "x"})
-        )
-        from repro.obs import collect_bench
-        bench = collect_bench(str(tmp_path))
-        html = render_dashboard(_ledger_history(), bench=bench)
-        assert "BENCH_obs.json" in html and "baseline_s" in html
-
-    def test_write_dashboard(self, tmp_path):
-        from repro.obs import write_dashboard
-        out = tmp_path / "dash.html"
-        write_dashboard(str(out), _ledger_history())
-        assert out.read_text().startswith("<!DOCTYPE html>")
-
-
-# ---------------------------------------------------------------------------
 # CLI faces
 # ---------------------------------------------------------------------------
 
@@ -798,30 +522,6 @@ class TestTelemetryCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_regressions"] == 1
 
-    def test_dash_command(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "ledger.jsonl"
-        ledger = PredictionLedger(str(path))
-        for run in range(2):
-            if run:
-                ledger.rotate_run()
-            ledger.append(
-                {"kernel": "a", "errors": {"mt_mshr_band": 0.05 + 0.01 * run}}
-            )
-        out = tmp_path / "dash.html"
-        assert main(["dash", str(path), "--out", str(out)]) == 0
-        assert "2 run(s)" in capsys.readouterr().out
-        assert "<svg" in out.read_text()
-
-    def test_dash_empty_ledger_errors(self, tmp_path):
-        from repro.cli import main
-
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        assert main(["dash", str(path),
-                     "--out", str(tmp_path / "x.html")]) == 2
-
     def test_validate_with_ledger_flag(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -831,17 +531,6 @@ class TestTelemetryCLI:
         records = read_ledger(str(path))
         assert len(records) == 1
         assert validate(records[0], load_schema("ledger")) == []
-
-    def test_serve_metrics_parser(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["serve-metrics", "--suite-kernel", "vectoradd",
-             "--repeat", "2", "--port", "0", "--scale", "tiny"]
-        )
-        assert args.command == "serve-metrics"
-        assert args.kernels == ["vectoradd"]
-        assert args.repeat == 2
 
     def test_profile_sample_parser(self):
         from repro.cli import build_parser
