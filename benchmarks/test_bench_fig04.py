@@ -4,8 +4,8 @@ from benchmarks.conftest import run_once
 from repro.harness.experiments import run_figure4
 
 
-def test_bench_figure4(benchmark, bench_runner):
-    result = run_once(benchmark, run_figure4, bench_runner, "srad_kernel1")
+def test_bench_figure4(benchmark, bench_pipeline):
+    result = run_once(benchmark, run_figure4, bench_pipeline, "srad_kernel1")
     print("\n" + result.text)
     errors = result.data["errors"]
     benchmark.extra_info["errors"] = {k: round(v, 4) for k, v in errors.items()}

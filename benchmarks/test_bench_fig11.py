@@ -4,8 +4,8 @@ from benchmarks.conftest import run_once
 from repro.harness.experiments import run_figure11
 
 
-def test_bench_figure11(benchmark, bench_runner):
-    result = run_once(benchmark, run_figure11, bench_runner)
+def test_bench_figure11(benchmark, bench_pipeline):
+    result = run_once(benchmark, run_figure11, bench_pipeline)
     print("\n" + result.text)
     means = result.data["means"]
     benchmark.extra_info["mean_errors"] = {

@@ -4,9 +4,9 @@ from benchmarks.conftest import BENCH_KERNELS, run_once
 from repro.harness.experiments import run_figure13
 
 
-def test_bench_figure13(benchmark, bench_runner):
+def test_bench_figure13(benchmark, bench_pipeline):
     result = run_once(
-        benchmark, run_figure13, bench_runner,
+        benchmark, run_figure13, bench_pipeline,
         kernels=BENCH_KERNELS, warp_counts=(2, 4, 8, 16),
     )
     print("\n" + result.text)

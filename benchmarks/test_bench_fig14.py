@@ -4,9 +4,9 @@ from benchmarks.conftest import BENCH_KERNELS, run_once
 from repro.harness.experiments import run_figure14
 
 
-def test_bench_figure14(benchmark, bench_runner):
+def test_bench_figure14(benchmark, bench_pipeline):
     result = run_once(
-        benchmark, run_figure14, bench_runner,
+        benchmark, run_figure14, bench_pipeline,
         kernels=BENCH_KERNELS, mshr_counts=(32, 64, 128, 256),
     )
     print("\n" + result.text)

@@ -4,9 +4,9 @@ from benchmarks.conftest import BENCH_KERNELS, run_once
 from repro.harness.experiments import run_figure15
 
 
-def test_bench_figure15(benchmark, bench_runner):
+def test_bench_figure15(benchmark, bench_pipeline):
     result = run_once(
-        benchmark, run_figure15, bench_runner,
+        benchmark, run_figure15, bench_pipeline,
         kernels=BENCH_KERNELS, bandwidths=(64.0, 128.0, 192.0, 256.0),
     )
     print("\n" + result.text)

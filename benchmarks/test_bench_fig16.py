@@ -4,9 +4,9 @@ from benchmarks.conftest import run_once
 from repro.harness.experiments import run_figure16
 
 
-def test_bench_figure16(benchmark, bench_runner):
+def test_bench_figure16(benchmark, bench_pipeline):
     result = run_once(
-        benchmark, run_figure16, bench_runner, warp_counts=(2, 4, 8, 16)
+        benchmark, run_figure16, bench_pipeline, warp_counts=(2, 4, 8, 16)
     )
     print("\n" + result.text)
     data = result.data

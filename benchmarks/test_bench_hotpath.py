@@ -1,8 +1,8 @@
 """Bench: hot-path vectorization — scalar reference vs batched numpy.
 
-Times the three backend-switched stages (functional emulation, cache
-replay, Eq. 4 interval construction) under both backends on the largest
-suite kernel, per stage and combined.  Each timing is a min-of-N so the
+Times the three vectorized stages (functional emulation, cache replay,
+Eq. 4 interval construction) against their scalar reference functions
+on the largest suite kernel, per stage and combined.  Each timing is a min-of-N so the
 coldest-cache/busiest-core rounds don't pollute the ratio.
 
 Guards (the PR contract, enforced in the ``bench-hotpath`` CI job):
@@ -20,12 +20,17 @@ import os
 import time
 
 from benchmarks.conftest import run_once
-from repro.backend import SCALAR_ENV
 from repro.config import GPUConfig
-from repro.core.interval import build_interval_profiles
+from repro.core.interval import (
+    build_interval_profiles,
+    build_interval_profiles_reference,
+)
 from repro.core.latency import build_latency_table
-from repro.memory.cache_simulator import simulate_caches
-from repro.trace.emulator import emulate
+from repro.memory.cache_simulator import (
+    simulate_caches,
+    simulate_caches_reference,
+)
+from repro.trace.emulator import emulate, emulate_reference
 from repro.workloads import Scale
 from repro.workloads.suite import SUITE
 
@@ -48,36 +53,37 @@ def _config():
 
 
 def _stage_times(scalar):
-    """Min-of-N wall-clock per hot-path stage under one backend."""
-    saved = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1" if scalar else "0"
-    try:
-        config = _config()
-        kernel, memory = SUITE[KERNEL].build(Scale.small())
-        best = {name: float("inf") for name in VEC_BUDGET_S}
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            trace = emulate(kernel, config, memory=memory)
-            best["trace"] = min(
-                best["trace"], time.perf_counter() - start
-            )
-            start = time.perf_counter()
-            cache = simulate_caches(trace, config)
-            best["cache_sim"] = min(
-                best["cache_sim"], time.perf_counter() - start
-            )
-            table = build_latency_table(trace, cache, config)
-            start = time.perf_counter()
-            build_interval_profiles(trace.warps, table, config.issue_rate)
-            best["interval_profiles"] = min(
-                best["interval_profiles"], time.perf_counter() - start
-            )
-        return best
-    finally:
-        if saved is None:
-            os.environ.pop(SCALAR_ENV, None)
-        else:
-            os.environ[SCALAR_ENV] = saved
+    """Min-of-N wall-clock per hot-path stage, scalar references or
+    production (vectorized) functions."""
+    if scalar:
+        run_trace, run_cache, run_profiles = (
+            emulate_reference,
+            simulate_caches_reference,
+            build_interval_profiles_reference,
+        )
+    else:
+        run_trace, run_cache, run_profiles = (
+            emulate, simulate_caches, build_interval_profiles,
+        )
+    config = _config()
+    kernel, memory = SUITE[KERNEL].build(Scale.small())
+    best = {name: float("inf") for name in VEC_BUDGET_S}
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        trace = run_trace(kernel, config, memory=memory)
+        best["trace"] = min(best["trace"], time.perf_counter() - start)
+        start = time.perf_counter()
+        cache = run_cache(trace, config)
+        best["cache_sim"] = min(
+            best["cache_sim"], time.perf_counter() - start
+        )
+        table = build_latency_table(trace, cache, config)
+        start = time.perf_counter()
+        run_profiles(trace.warps, table, config.issue_rate)
+        best["interval_profiles"] = min(
+            best["interval_profiles"], time.perf_counter() - start
+        )
+    return best
 
 
 def test_bench_hotpath(benchmark):

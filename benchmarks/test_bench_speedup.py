@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.config import GPUConfig
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.harness.speedup import run_speedup
 from repro.workloads import Scale
 
@@ -29,12 +29,12 @@ SPEEDUP_KERNELS = (
 
 
 @pytest.fixture(scope="module")
-def speedup_runner():
-    return Runner(GPUConfig(n_cores=2), Scale.small())
+def speedup_pipeline():
+    return Pipeline(GPUConfig(n_cores=2), scale=Scale.small())
 
 
-def test_bench_speedup(benchmark, speedup_runner):
-    result = run_once(benchmark, run_speedup, speedup_runner,
+def test_bench_speedup(benchmark, speedup_pipeline):
+    result = run_once(benchmark, run_speedup, speedup_pipeline,
                       kernels=SPEEDUP_KERNELS)
     print("\n" + result.text)
     overall = result.data["overall_speedup"]
@@ -44,7 +44,7 @@ def test_bench_speedup(benchmark, speedup_runner):
         assert per_kernel.reconfigure_seconds <= per_kernel.model_seconds
 
 
-def test_bench_speedup_vs_cycle_loop(benchmark, speedup_runner):
+def test_bench_speedup_vs_cycle_loop(benchmark, speedup_pipeline):
     """Against the cycle-by-cycle loop (the paper's Macsim analogue).
 
     The paper's 97x is measured against a simulator that steps every
@@ -55,7 +55,7 @@ def test_bench_speedup_vs_cycle_loop(benchmark, speedup_runner):
     the instruction count.
     """
     result = run_once(
-        benchmark, run_speedup, speedup_runner,
+        benchmark, run_speedup, speedup_pipeline,
         kernels=("srad_kernel1", "strided_deg8"),
         include_naive=True,
     )

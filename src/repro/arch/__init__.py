@@ -10,16 +10,11 @@ One :class:`~repro.arch.base.ArchBackend` per machine family:
 
 The registry is keyed by name and cross-checked against
 ``repro.config.KNOWN_ARCHES`` (the config layer validates arch strings
-without importing this package).  Architecture selection is orthogonal
-to the scalar/vector *compute* backend (``repro.backend``): the compute
-backend must never change any result under any architecture —
-:func:`assert_backend_independent` is the executable form of that
-contract, exercised per-arch by ``tests/test_arch.py``.
+without importing this package).
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict
 
 from repro.arch.base import ArchBackend, schedulers_for
@@ -52,57 +47,11 @@ def get_arch(name: str) -> ArchBackend:
         ) from None
 
 
-def assert_backend_independent(
-    kernel_name: str,
-    config=None,
-    scale=None,
-):
-    """Assert the compute backend cannot change this kernel's prediction.
-
-    Runs the full prediction chain (trace → … → predict) under the
-    scalar and the vectorized compute backend for ``config.arch`` and
-    raises :class:`AssertionError` unless the two predictions are
-    pickle-identical (pickle equality is store-fingerprint equality).
-    Returns the prediction on success.  This is the ``repro.arch`` side
-    of the ``repro.backend`` contract: ``REPRO_SCALAR`` selects an
-    implementation, never an answer — under *either* architecture.
-    """
-    import os
-
-    from repro.backend import SCALAR_ENV
-    from repro.config import GPUConfig
-    from repro.pipeline import Pipeline
-    from repro.workloads.generators import Scale
-
-    config = config if config is not None else GPUConfig()
-    scale = scale if scale is not None else Scale.tiny()
-    predictions = {}
-    saved = os.environ.get(SCALAR_ENV)
-    try:
-        for scalar in (True, False):
-            os.environ[SCALAR_ENV] = "1" if scalar else "0"
-            pipeline = Pipeline(config, scale=scale)
-            predictions[scalar] = pipeline.predict(kernel_name)
-    finally:
-        if saved is None:
-            os.environ.pop(SCALAR_ENV, None)
-        else:
-            os.environ[SCALAR_ENV] = saved
-    if pickle.dumps(predictions[True]) != pickle.dumps(predictions[False]):
-        raise AssertionError(
-            "compute backend changed the %r prediction under arch=%r; "
-            "REPRO_SCALAR must be result-invariant"
-            % (kernel_name, config.arch)
-        )
-    return predictions[False]
-
-
 __all__ = [
     "ArchBackend",
     "ARCH_NAMES",
     "GpuMech2014",
     "SubCore",
-    "assert_backend_independent",
     "get_arch",
     "schedulers_for",
 ]

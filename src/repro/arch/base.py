@@ -7,13 +7,9 @@ has and how warps share them, how the analytical multithreading /
 contention / CPI-stack models compose, and how interval profiles are
 constructed.  ``repro.core`` and ``repro.timing`` dispatch through the
 backend selected by ``GPUConfig.arch`` instead of hard-coding one
-machine; ``repro.arch`` registers the shipped backends.
-
-Contrast with ``repro.backend`` (the scalar/vector *compute* backend):
-that switch picks between two implementations of the *same* math and is
-bitwise-invisible, so it never keys the artifact store.  An architecture
-backend changes the predictions themselves, which is why ``arch`` is a
-fingerprinted :class:`~repro.config.GPUConfig` field.
+machine; ``repro.arch`` registers the shipped backends.  An
+architecture backend changes the predictions themselves, which is why
+``arch`` is a fingerprinted :class:`~repro.config.GPUConfig` field.
 
 See ``docs/architectures.md`` for the contract and a walkthrough of
 adding a third backend.
@@ -106,13 +102,9 @@ class ArchBackend:
         n_warps: int,
         policy: str,
         config: "GPUConfig",
-        rr_mode: str = "probabilistic",
-        alignment: float = 1.0,
     ) -> "MultithreadingResult":
         """Multi-warp CPI without contention (Sec. IV-A sharing rules)."""
-        return _model_multithreading(
-            profile, n_warps, policy, rr_mode=rr_mode, alignment=alignment
-        )
+        return _model_multithreading(profile, n_warps, policy)
 
     def model_contention(
         self,

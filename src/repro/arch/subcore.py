@@ -62,14 +62,10 @@ class SubCore(ArchBackend):
         n_warps: int,
         policy: str,
         config: "GPUConfig",
-        rr_mode: str = "probabilistic",
-        alignment: float = 1.0,
     ) -> MultithreadingResult:
         n_sched = max(1, min(config.n_schedulers, n_warps))
         per_sched = -(-n_warps // n_sched)  # busiest partition (ceil)
-        per_sched_result = model_multithreading(
-            profile, per_sched, policy, rr_mode=rr_mode, alignment=alignment
-        )
+        per_sched_result = model_multithreading(profile, per_sched, policy)
         issue_rate = profile.issue_rate
         # The busiest scheduler's span bounds the core's execution time;
         # in that span the whole core retires n_warps × rep_insts

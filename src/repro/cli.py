@@ -57,11 +57,11 @@ from repro.harness.reporting import (
     render_stage_table,
     render_table,
 )
-from repro.harness.runner import MODEL_LABELS, MODELS, Runner
 from repro.harness.speedup import run_speedup
 from repro.obs import MetricsRegistry, Tracer, set_tracer
 from repro.obs.ledger import DEFAULT_MODEL as LEDGER_DEFAULT_MODEL
 from repro.obs.sampler import DEFAULT_INTERVAL as SAMPLE_INTERVAL
+from repro.pipeline import MODEL_LABELS, MODELS, Pipeline
 from repro.trace.emulator import emulate
 from repro.workloads.generators import Scale
 from repro.workloads.suite import SUITE, get_kernel, kernel_names
@@ -75,15 +75,15 @@ _SCALES = {
 }
 
 _EXPERIMENTS = {
-    "figure4": lambda runner: ex.run_figure4(runner),
-    "figure7": lambda runner: ex.run_figure7(runner),
-    "figure11": lambda runner: ex.run_figure11(runner),
-    "figure12": lambda runner: ex.run_figure12(runner),
-    "figure13": lambda runner: ex.run_figure13(runner),
-    "figure14": lambda runner: ex.run_figure14(runner),
-    "figure15": lambda runner: ex.run_figure15(runner),
-    "figure16": lambda runner: ex.run_figure16(runner),
-    "speedup": lambda runner: run_speedup(runner),
+    "figure4": ex.run_figure4,
+    "figure7": ex.run_figure7,
+    "figure11": ex.run_figure11,
+    "figure12": ex.run_figure12,
+    "figure13": ex.run_figure13,
+    "figure14": ex.run_figure14,
+    "figure15": ex.run_figure15,
+    "figure16": ex.run_figure16,
+    "speedup": run_speedup,
 }
 
 #: Default oracle sampling period (cycles) for ``repro profile``.
@@ -157,12 +157,12 @@ def _machine(args) -> GPUConfig:
     )
 
 
-def _runner(args) -> Runner:
-    """A pipeline-backed runner honouring ``--jobs``/``--cache-dir``
-    plus the session tracer/metrics installed by :func:`main`."""
-    return Runner(
+def _pipeline(args) -> Pipeline:
+    """A pipeline honouring ``--jobs``/``--cache-dir`` plus the session
+    tracer/metrics installed by :func:`main`."""
+    return Pipeline(
         _machine(args),
-        _SCALES[args.scale](),
+        scale=_SCALES[args.scale](),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         lint=args.lint,
@@ -187,28 +187,29 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    runner = _runner(args)
-    kernel, _ = get_kernel(args.kernel, _SCALES[args.scale]())
+    pipeline = _pipeline(args)
+    kernel, _ = get_kernel(args.kernel, pipeline.scale)
     emit(kernel.describe())
-    model, inputs = runner.prepare(
-        args.kernel, selection_strategy=args.strategy
+    prediction = pipeline.predict(
+        args.kernel,
+        warps_per_core=args.warps,
+        selection_strategy=args.strategy,
     )
-    prediction = model.predict(inputs, warps_per_core=args.warps)
     emit(prediction.summary())
     emit(prediction.cpi_stack.render())
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    runner = _runner(args)
-    stats = runner.simulate(args.kernel, warps_per_core=args.warps)
+    stats = _pipeline(args).simulate(args.kernel, warps_per_core=args.warps)
     emit(stats.summary())
     return 0
 
 
 def _cmd_validate(args) -> int:
-    runner = _runner(args)
-    result = runner.evaluate(args.kernel, warps_per_core=args.warps)
+    result = _pipeline(args).evaluate(
+        args.kernel, warps_per_core=args.warps
+    )
     rows = [
         (MODEL_LABELS[m], "%.3f" % result.model_cpis[m],
          "%.1f%%" % (100 * result.error(m)))
@@ -222,7 +223,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    result = _EXPERIMENTS[args.name](_runner(args))
+    result = _EXPERIMENTS[args.name](_pipeline(args))
     emit(result.text)
     return 0
 
@@ -378,9 +379,9 @@ def _cmd_characterize(args) -> int:
         emit(render_arch_comparison(results))
         return 0
     if args.kernel == "all":
-        runner = _runner(args)
-        emit(suite_report(scale=scale, config=runner.config,
-                          pipeline=runner.pipeline))
+        pipeline = _pipeline(args)
+        emit(suite_report(scale=scale, config=pipeline.config,
+                          pipeline=pipeline))
         return 0
     kernel, memory = get_kernel(args.kernel, scale)
     trace = emulate(kernel, _machine(args), memory=memory)
@@ -400,7 +401,7 @@ def _cmd_profile(args) -> int:
     if unknown:
         _LOG.error("unknown kernel(s): %s", ", ".join(unknown))
         return 2
-    runner = _runner(args)
+    pipeline = _pipeline(args)
     requests = [{"kernel": name, "warps_per_core": args.warps}
                 for name in names]
     profiler = None
@@ -413,7 +414,7 @@ def _cmd_profile(args) -> int:
         )
         profiler.start()
     try:
-        results = runner.evaluate_many(requests)
+        results = pipeline.evaluate_many(requests)
     finally:
         if profiler is not None:
             profiler.stop()
@@ -429,9 +430,9 @@ def _cmd_profile(args) -> int:
     emit(render_table(
         ("kernel", "policy", "warps", "oracle CPI", "GPUMech CPI", "error"),
         rows,
-        title="profile (%d kernels, jobs=%d)" % (len(results), runner.jobs),
+        title="profile (%d kernels, jobs=%d)" % (len(results), pipeline.jobs),
     ))
-    stage_table = render_stage_table(runner.metrics)
+    stage_table = render_stage_table(pipeline.metrics)
     if stage_table:
         emit("")
         emit(stage_table)
@@ -657,7 +658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.trace_out = "repro-trace.json"
 
     # One tracer + registry per invocation, installed process-wide so
-    # library code reached outside the Runner still records into them.
+    # library code reached outside the pipeline still records into them.
     tracer = Tracer(enabled=bool(args.trace_out))
     metrics = MetricsRegistry()
     args.obs_tracer = tracer

@@ -40,10 +40,8 @@ KNOWN_ARCHES = ("gpumech2014", "subcore")
 #: trace artifact valid — the invariant behind the paper's Sec. VI-D
 #: cost argument and the staged pipeline's invalidation rules
 #: (``repro.pipeline``).  ``arch`` is here because independent-thread-
-#: scheduling reconvergence reorders divergent warps' dynamic streams;
-#: the scalar/vector *compute* backend (``repro.backend``) by contrast
-#: never changes the trace and is deliberately absent.  ``simt_width``
-#: is absent too: validation pins it to ``warp_size``, so the emulator
+#: scheduling reconvergence reorders divergent warps' dynamic streams.
+#: ``simt_width`` is absent: validation pins it to ``warp_size``, so the emulator
 #: never reads it and keying on it would only double-count warp width
 #: (a fact ``repro.depcheck`` verifies statically and at runtime).
 TRACE_FIELDS: FrozenSet[str] = frozenset(
@@ -130,9 +128,9 @@ class GPUConfig:
     #: ``"gpumech2014"`` — the paper's 2014-era core (one scheduler,
     #: stack-based reconvergence); ``"subcore"`` — a modern core with
     #: ``n_schedulers`` sub-core issue slots and independent-thread-
-    #: scheduling-style reconvergence.  Unlike the scalar/vector compute
-    #: backend, the architecture changes the *answer*, so this field is
-    #: part of ``fingerprint()`` and keys the artifact store.
+    #: scheduling-style reconvergence.  The architecture changes the
+    #: *answer*, so this field is part of ``fingerprint()`` and keys the
+    #: artifact store.
     arch: str = "gpumech2014"
     #: Sub-core schedulers (issue slots) per core; each owns a static
     #: partition of the resident warps.  Read only by backends with

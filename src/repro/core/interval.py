@@ -139,21 +139,24 @@ def build_interval_profiles(
 ) -> List[IntervalProfile]:
     """Interval profiles for an ordered collection of warp traces.
 
-    Dispatches to the batched numpy implementation
-    (:mod:`repro.core.interval_vec`) unless ``REPRO_SCALAR=1`` selects
-    the per-warp reference scan below; both produce bitwise-identical
-    profiles.
+    Runs the batched numpy scan (:mod:`repro.core.interval_vec`), which
+    is bitwise-identical to :func:`build_interval_profiles_reference`.
     """
-    from repro.backend import use_scalar
-
-    if use_scalar():
-        return [
-            build_interval_profile(warp, latency_table, issue_rate)
-            for warp in warps
-        ]
     from repro.core.interval_vec import build_interval_profiles as vec
 
     return vec(warps, latency_table, issue_rate)
+
+
+def build_interval_profiles_reference(
+    warps: Sequence[WarpTrace],
+    latency_table: LatencyTable,
+    issue_rate: float = 1.0,
+) -> List[IntervalProfile]:
+    """Per-warp reference scan: :func:`build_interval_profile` per warp."""
+    return [
+        build_interval_profile(warp, latency_table, issue_rate)
+        for warp in warps
+    ]
 
 
 def build_interval_profile(

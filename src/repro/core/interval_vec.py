@@ -2,7 +2,7 @@
 
 The scalar :func:`~repro.core.interval.build_interval_profile` walks one
 warp's trace in Python, one dynamic instruction per iteration.  This
-backend propagates producer latencies for *every* warp simultaneously:
+module propagates producer latencies for *every* warp simultaneously:
 the issue-cycle recurrence still marches over instruction positions
 sequentially (issue(k) depends on issue(k-1)), but each step is a
 vectorized ``np.maximum``-style update across the whole warp axis — a
@@ -18,7 +18,8 @@ result), while the float expected-footprint accumulators
 (``exp_mshr_reqs`` & co.) are summed left-to-right over load
 instructions only — ``reduceat``'s pairwise summation is *not*
 bitwise-compatible with the scalar loop's sequential adds, and bitwise
-equality with the scalar backend is the contract
+equality with :func:`~repro.core.interval.build_interval_profiles_reference`
+is the contract
 (``tests/test_vectorized_equivalence.py``).
 """
 

@@ -20,7 +20,7 @@ from repro.core.contention import ContentionResult
 from repro.core.cpi_stack import CPIStack
 from repro.core.interval import IntervalProfile
 from repro.core.latency import LatencyTable
-from repro.core.multithreading import MultithreadingResult, kernel_alignment
+from repro.core.multithreading import MultithreadingResult
 from repro.core.representative import RepresentativeSelection
 from repro.isa.kernel import Kernel
 from repro.memory.cache_simulator import CacheSimResult
@@ -137,22 +137,16 @@ class GPUMech:
     selection_strategy:
         Representative-warp strategy: ``"clustering"`` (paper),
         ``"max"``, ``"min"`` or ``"first"``.
-    rr_mode:
-        Round-robin non-overlap counting: ``"probabilistic"`` (Eq. 10-11,
-        the default), ``"lockstep"`` or ``"blended"`` — see
-        :func:`repro.core.multithreading.model_multithreading`.
     """
 
     def __init__(
         self,
         config: GPUConfig,
         selection_strategy: str = "clustering",
-        rr_mode: str = "probabilistic",
         pipeline=None,
     ):
         self.config = config
         self.selection_strategy = selection_strategy
-        self.rr_mode = rr_mode
         #: The staged pipeline backing :meth:`prepare` (lazily created;
         #: pass one explicitly to share its artifact store and counters).
         self._pipeline = pipeline
@@ -214,17 +208,12 @@ class GPUMech:
                 inputs.trace, self.config, warps_per_core
             )
         profile = inputs.representative
-        alignment = 1.0
-        if self.rr_mode == "blended" and policy == "rr":
-            rep_trace = inputs.trace.warps[inputs.selection.index]
-            alignment = kernel_alignment(rep_trace, inputs.latency_table)
         # Every microarchitecture-specific composition step dispatches
         # through the backend; gpumech2014 delegates verbatim to the
         # repro.core functions (bitwise-identical predictions).
         arch = get_arch(self.config.arch)
         multithreading = arch.model_multithreading(
-            profile, n_warps, policy, self.config, rr_mode=self.rr_mode,
-            alignment=alignment,
+            profile, n_warps, policy, self.config
         )
         contention = arch.model_contention(
             profile, n_warps, self.config, inputs.avg_miss_latency

@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 from repro.config import ALL_FIELDS, GPUConfig
 
 #: Environment toggle; any value other than ``""``/``"0"`` enables the
-#: sanitizer (checked per call, like ``repro.backend.use_scalar``).
+#: sanitizer (checked per call, so tests can flip it with monkeypatch).
 DEPCHECK_ENV = "REPRO_DEPCHECK"
 
 

@@ -1,17 +1,13 @@
 """Experiment harness: model-vs-oracle validation and figure drivers.
 
-``runner`` evaluates all Table II models against the timing oracle on one
-kernel; ``experiments`` contains one driver per evaluation figure/table of
-the paper; ``reporting`` renders the same rows/series the paper plots;
+Every driver takes a :class:`~repro.pipeline.Pipeline`, which fixes the
+machine configuration and workload scale and evaluates all Table II
+models against the timing oracle.  ``experiments`` contains one driver
+per evaluation figure/table of the paper; ``sweeps`` runs any parameter
+sweep; ``reporting`` renders the same rows/series the paper plots;
 ``speedup`` measures the model's wall-clock advantage (Sec. VI-D).
 """
 
-from repro.harness.runner import (
-    MODELS,
-    KernelResult,
-    Runner,
-    nanmean,
-)
 from repro.harness.reporting import render_series, render_table
 from repro.harness.sweeps import Sweep, SweepResult
 from repro.harness.validation import (
@@ -22,13 +18,9 @@ from repro.harness.validation import (
 )
 
 __all__ = [
-    "KernelResult",
-    "MODELS",
     "ModelValidation",
-    "Runner",
     "Sweep",
     "SweepResult",
-    "nanmean",
     "render_series",
     "render_table",
     "render_validation",

@@ -127,12 +127,10 @@ def render_stage_table(metrics, title: str = "pipeline stages") -> Optional[str]
     """Stage-timing table from a pipeline's metrics registry.
 
     One row per executed stage, in DAG order: runs, cache hits, total
-    wall time, mean and p95 per-run latency, and — for the stages with
-    a scalar/vectorized implementation switch — which hot-path backend
-    the runs used.  ``None`` when the registry has recorded no stage
-    executions (nothing ran), so callers can skip the section entirely.
+    wall time, mean and p95 per-run latency.  ``None`` when the registry
+    has recorded no stage executions (nothing ran), so callers can skip
+    the section entirely.
     """
-    from repro.backend import SCALAR, VECTORIZED
     from repro.pipeline.stages import STAGES
 
     runs = metrics.labeled_values("pipeline.stage_executions", "stage")
@@ -154,29 +152,10 @@ def render_stage_table(metrics, title: str = "pipeline stages") -> Optional[str]
                 "%.3f" % seconds.get(stage, 0.0),
                 "%.2f" % histogram.mean if n else "-",
                 "%.2f" % histogram.percentile(95.0) if n else "-",
-                _stage_backend(metrics, stage, (VECTORIZED, SCALAR)),
             ]
         )
     return render_table(
-        ["stage", "runs", "hits", "total s", "mean ms", "p95 ms", "backend"],
+        ["stage", "runs", "hits", "total s", "mean ms", "p95 ms"],
         rows,
         title=title,
     )
-
-
-def _stage_backend(metrics, stage: str, backends) -> str:
-    """Which hot-path backend a stage's runs used: one of the backend
-    names, ``mixed`` when runs split across both, ``-`` when the stage
-    has no backend switch (or never ran)."""
-    used = [
-        name
-        for name in backends
-        if metrics.counter_value(
-            "pipeline.backend_executions", stage=stage, backend=name
-        )
-    ]
-    if not used:
-        return "-"
-    if len(used) > 1:
-        return "mixed"
-    return used[0]

@@ -3,7 +3,7 @@
 Relative error alone (the paper's metric) hides whether a model ranks
 configurations correctly — which is what an early-design-space user
 actually needs.  This module computes, over a set of
-:class:`~repro.harness.runner.KernelResult`:
+:class:`~repro.pipeline.KernelResult`:
 
 * mean / median / max absolute relative error (the paper's numbers),
 * the fraction of kernels under an error threshold (the paper's
@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.harness.reporting import render_table
-from repro.harness.runner import MODEL_LABELS, MODELS, KernelResult
+from repro.pipeline import MODEL_LABELS, MODELS, KernelResult
 
 
 def _pearson(x: Sequence[float], y: Sequence[float]) -> float:

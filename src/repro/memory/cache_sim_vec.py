@@ -1,8 +1,8 @@
 """Batched cache replay: the round-robin interleaving as one sorted stream.
 
-The scalar :func:`~repro.memory.cache_simulator.simulate_caches` drives a
-nest of Python loops: rounds over cores over resident warps, one memory
-instruction per warp per round.  The crucial observation is that this
+The reference :func:`~repro.memory.cache_simulator.simulate_caches_reference`
+drives a nest of Python loops: rounds over cores over resident warps, one
+memory instruction per warp per round.  The crucial observation is that this
 replay *order* is outcome-independent — which warp issues which request
 when is fixed entirely by the residency waves and per-warp memory
 instruction counts, never by hit/miss results.  So the order can be
@@ -18,7 +18,7 @@ shared L2) keeps the scalar per-set ``OrderedDict`` discipline — but in
 one tight loop over plain ints instead of a call stack per instruction.
 
 Bitwise-compatibility notes (the contract is pickle-identical
-:class:`CacheSimResult` vs the scalar backend):
+:class:`CacheSimResult` vs the reference replay):
 
 * ``per_pc`` dict insertion order must be the first-replay order of each
   PC (``avg_miss_latency`` sums floats in that order);
@@ -91,7 +91,7 @@ def simulate_caches_vectorized(
     config: GPUConfig,
     warps_per_core: Optional[int] = None,
 ):
-    """Vectorized counterpart of scalar ``simulate_caches``."""
+    """Vectorized counterpart of ``simulate_caches_reference``."""
     # Deferred import: cache_simulator dispatches to this module.
     from repro.memory.cache_simulator import (
         CacheSimResult,

@@ -194,18 +194,27 @@ def simulate_caches(
     occupancy the timing oracle enforces, which is what determines cache
     reuse distances.
 
-    Dispatches to the batched replay (:mod:`repro.memory.cache_sim_vec`)
-    unless ``REPRO_SCALAR=1`` selects the loop-nest reference below;
-    both produce bitwise-identical results.
+    Runs the batched replay (:mod:`repro.memory.cache_sim_vec`), which
+    is bitwise-identical to :func:`simulate_caches_reference`.
     """
-    from repro.backend import use_scalar
+    from repro.memory.cache_sim_vec import simulate_caches_vectorized
 
-    if not use_scalar():
-        from repro.memory.cache_sim_vec import simulate_caches_vectorized
+    return simulate_caches_vectorized(
+        trace, config, warps_per_core=warps_per_core
+    )
 
-        return simulate_caches_vectorized(
-            trace, config, warps_per_core=warps_per_core
-        )
+
+def simulate_caches_reference(
+    trace: KernelTrace,
+    config: GPUConfig,
+    warps_per_core: Optional[int] = None,
+) -> CacheSimResult:
+    """Loop-nest reference replay: one request at a time through a
+    :class:`~repro.memory.hierarchy.MemoryHierarchy`.
+
+    The executable specification :func:`simulate_caches` is tested
+    against; arguments and result as for :func:`simulate_caches`.
+    """
     hierarchy = MemoryHierarchy(config)
     per_pc: Dict[int, PCStats] = {}
 

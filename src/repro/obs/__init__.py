@@ -4,7 +4,7 @@
     Hierarchical span tracer (context-manager API, thread/process-safe,
     no-op when disabled) with JSONL and Chrome-trace/Perfetto export.
 ``metrics``
-    Registry of counters/gauges/fixed-bucket histograms that snapshots,
+    Registry of counters and fixed-bucket histograms that snapshots,
     diffs and merges — how pool workers ship their stage counters back
     to the parent.
 ``timeline``
@@ -35,13 +35,11 @@ from repro.obs.metrics import (
     DEFAULT_MS_BUCKETS,
     RATIO_BUCKETS,
     CounterMetric,
-    GaugeMetric,
     HistogramMetric,
     MetricsRegistry,
     diff_snapshots,
     escape_label_value,
     render_key,
-    unescape_label_value,
 )
 from repro.obs.sampler import SamplingProfiler
 from repro.obs.timeline import Timeline, TimelineSample
@@ -58,7 +56,6 @@ __all__ = [
     "CounterMetric",
     "DEFAULT_MODEL",
     "DEFAULT_MS_BUCKETS",
-    "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -79,7 +76,6 @@ __all__ = [
     "read_ledgers",
     "render_key",
     "set_tracer",
-    "unescape_label_value",
     "write_chrome_trace",
     "write_jsonl",
 ]

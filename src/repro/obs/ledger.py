@@ -3,10 +3,9 @@
 A single run's prediction is ephemeral — printed, maybe cached, gone.
 The ledger makes accuracy a *time series*: every pipeline evaluation
 appends one JSON record carrying the prediction's full provenance (the
-config fingerprint, architecture and hot-path backend that produced it)
-next to its outcome (predicted vs. oracle CPI per model, the
-per-component CPI-stack attribution, cache miss rates and stage
-timings).  Append-only JSONL keeps writes atomic enough for concurrent
+config fingerprint and architecture that produced it) next to its
+outcome (predicted vs. oracle CPI per model, the per-component CPI-stack
+attribution, cache miss rates and stage timings).  Append-only JSONL keeps writes atomic enough for concurrent
 pool workers (one ``O_APPEND`` line per record) and trivially
 mergeable across machines — ``cat`` is the merge operator.
 
@@ -81,22 +80,19 @@ def build_record(
     result,
     config,
     scale,
-    backend: str,
     cache_result=None,
     stage_seconds: Optional[Dict[str, float]] = None,
     duration_s: Optional[float] = None,
 ) -> Dict[str, Any]:
     """One ledger record from a finished evaluation.
 
-    ``result`` is a :class:`~repro.harness.runner.KernelResult` (duck-
-    typed to avoid the circular import); ``config`` the effective
-    :class:`~repro.config.GPUConfig`; ``backend`` the hot-path backend
-    (``vectorized``/``scalar``) that produced the artifacts.
+    ``result`` is a :class:`~repro.pipeline.KernelResult` (duck-typed
+    to avoid the circular import); ``config`` the effective
+    :class:`~repro.config.GPUConfig`.
     """
     record: Dict[str, Any] = {
         "kernel": result.kernel,
         "arch": config.arch,
-        "backend": backend,
         "policy": result.policy,
         "n_warps": result.n_warps,
         "fingerprint": config.fingerprint(),

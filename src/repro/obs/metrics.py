@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 The registry is the single home for every operational number the system
 produces — pipeline stage executions and wall-clock, cache hit/miss
@@ -12,8 +12,8 @@ each result and the parent's totals end up identical to a serial run.
 
 Metrics are identified by a name plus a small set of string labels
 (``registry.counter("pipeline.stage_executions", stage="trace")``);
-histograms use fixed bucket upper bounds so percentiles of merged
-histograms stay exact (to bucket resolution) without storing samples.
+histograms use fixed bucket upper bounds so merging stays exact without
+storing samples; percentiles interpolate inside the matching bucket.
 """
 
 from __future__ import annotations
@@ -50,33 +50,11 @@ def escape_label_value(value: str) -> str:
     """Escape a label value for quoted exposition (OpenMetrics rules).
 
     Exactly three escapes exist in the text format: backslash, double
-    quote and line feed.  Everything else passes through verbatim, so
-    ``unescape_label_value`` is an exact inverse.
+    quote and line feed.  Everything else passes through verbatim.
     """
     return (value.replace("\\", "\\\\")
                  .replace('"', '\\"')
                  .replace("\n", "\\n"))
-
-
-def unescape_label_value(value: str) -> str:
-    """Exact inverse of :func:`escape_label_value`."""
-    out: List[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
 
 
 def render_key(name: str, labels: LabelItems) -> str:
@@ -128,33 +106,12 @@ class CounterMetric:
         self._lock = threading.Lock()
 
 
-class GaugeMetric:
-    """Last-write-wins value."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.value = state["value"]
-        self._lock = threading.Lock()
-
-
 class HistogramMetric:
     """Fixed-bucket histogram with percentile estimates.
 
     ``bounds`` are inclusive upper bucket edges; one overflow bucket is
     appended automatically.  Merging histograms with identical bounds is
-    exact; percentiles are resolved to the matching bucket edge.
+    exact; percentiles interpolate linearly inside the matching bucket.
     """
 
     __slots__ = ("bounds", "counts", "sum", "count", "max", "_lock")
@@ -214,23 +171,28 @@ class HistogramMetric:
             return self.sum / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Upper bucket edge at or above the p-th percentile (0..100).
+        """Estimate of the p-th percentile (0..100).
 
-        Values in the overflow bucket resolve to the observed maximum.
-        An empty histogram has no percentiles: the result is ``nan``
-        (explicitly — callers render it or skip it, they never mistake
-        it for a real zero-latency observation).
+        Finds the bucket holding the target rank and interpolates
+        linearly between its edges (the first bucket starts at 0, the
+        overflow bucket ends at the observed maximum), clamped to that
+        maximum.  An empty histogram has no percentiles: the result is
+        ``nan`` (explicitly — callers render it or skip it, they never
+        mistake it for a real zero-latency observation).
         """
         with self._lock:
             if not self.count:
                 return float("nan")
             target = self.count * min(max(p, 0.0), 100.0) / 100.0
-            cumulative = 0
+            below = 0
             for i, n in enumerate(self.counts):
-                cumulative += n
-                if cumulative >= target and n:
-                    return (self.bounds[i] if i < len(self.bounds)
-                            else self.max)
+                if n and below + n >= target:
+                    lower = self.bounds[i - 1] if i else 0.0
+                    upper = (self.bounds[i] if i < len(self.bounds)
+                             else self.max)
+                    estimate = lower + (upper - lower) * (target - below) / n
+                    return min(estimate, self.max)
+                below += n
             return self.max
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -258,7 +220,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[Tuple[str, LabelItems], CounterMetric] = {}
-        self._gauges: Dict[Tuple[str, LabelItems], GaugeMetric] = {}
         self._histograms: Dict[Tuple[str, LabelItems], HistogramMetric] = {}
 
     # -- accessors (get-or-create) ------------------------------------------
@@ -275,14 +236,6 @@ class MetricsRegistry:
         if metric is None:
             with self._lock:
                 metric = self._counters.setdefault(key, CounterMetric())
-        return metric
-
-    def gauge(self, name: str, **labels: Any) -> GaugeMetric:
-        key = (name, _label_items(labels))
-        metric = self._gauges.get(key)
-        if metric is None:
-            with self._lock:
-                metric = self._gauges.setdefault(key, GaugeMetric())
         return metric
 
     def histogram(self, name: str,
@@ -330,23 +283,16 @@ class MetricsRegistry:
                 {"name": name, "labels": dict(labels), "value": m.value}
                 for (name, labels), m in sorted(self._counters.items())
             ]
-            gauges = [
-                {"name": name, "labels": dict(labels), "value": m.value}
-                for (name, labels), m in sorted(self._gauges.items())
-            ]
             histograms = [
                 {"name": name, "labels": dict(labels), **m.entry()}
                 for (name, labels), m in sorted(self._histograms.items())
             ]
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
         """Fold a snapshot (typically a worker delta) into this registry."""
         for entry in snapshot.get("counters", ()):
             self.counter(entry["name"], **entry["labels"]).inc(entry["value"])
-        for entry in snapshot.get("gauges", ()):
-            self.gauge(entry["name"], **entry["labels"]).set(entry["value"])
         for entry in snapshot.get("histograms", ()):
             metric = self.histogram(
                 entry["name"], buckets=entry["bounds"], **entry["labels"]
@@ -382,9 +328,9 @@ def diff_snapshots(current: Dict[str, Any],
                    baseline: Dict[str, Any]) -> Dict[str, Any]:
     """The metric activity between two snapshots of one registry.
 
-    Counters and histograms subtract (zero deltas are dropped); gauges
-    pass through at their current value.  The result is itself a valid
-    snapshot, suitable for :meth:`MetricsRegistry.merge`.
+    Counters and histograms subtract (zero deltas are dropped).  The
+    result is itself a valid snapshot, suitable for
+    :meth:`MetricsRegistry.merge`.
     """
     base_counters = _index(baseline.get("counters", ()))
     counters = []
@@ -413,6 +359,5 @@ def diff_snapshots(current: Dict[str, Any],
             })
     return {
         "counters": counters,
-        "gauges": list(current.get("gauges", ())),
         "histograms": histograms,
     }

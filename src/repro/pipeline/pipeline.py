@@ -35,15 +35,25 @@ artifacts; shared artifacts may be computed once per worker).
 from __future__ import annotations
 
 import logging
+import math
 import multiprocessing
 import os
 import time
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
-from repro.backend import BACKEND_STAGES, current_backend
 from repro.config import GPUConfig
 from repro.depcheck.runtime import (
     depcheck_enabled,
@@ -69,10 +79,72 @@ from repro.pipeline.store import ArtifactStore, open_store
 from repro.staticcheck.report import StaticCheckError
 from repro.workloads.generators import Scale
 
+if TYPE_CHECKING:  # imports for annotations only
+    from repro.core.model import Prediction
+    from repro.timing.stats import SimStats
+
 #: Minimum warps before the per-warp profile loop is worth forking for.
 _PARALLEL_WARP_THRESHOLD = 8
 
 _LOG = logging.getLogger(__name__)
+
+
+#: The Table II models every evaluation reports, in evaluation order:
+#: ``naive`` (Eq. 1, optimistic overlap), ``markov`` (Chen & Aamodt's
+#: first-order Markov chain), ``mt`` (GPUMech multithreading only,
+#: Sec. IV-A), ``mt_mshr`` (+ MSHR contention, Sec. IV-B1) and
+#: ``mt_mshr_band`` (full GPUMech: + DRAM bandwidth, Sec. IV-B2).
+MODELS = ("naive", "markov", "mt", "mt_mshr", "mt_mshr_band")
+
+#: Display names used in reports (matching the paper's legends).
+MODEL_LABELS = {
+    "naive": "Naive_Interval",
+    "markov": "Markov_Chain",
+    "mt": "MT",
+    "mt_mshr": "MT_MSHR",
+    "mt_mshr_band": "MT_MSHR_BAND",
+}
+
+
+def nanmean(values: Iterable[float]) -> float:
+    """Mean over the finite values, ``nan`` if none remain.
+
+    Degenerate oracle runs report ``nan`` errors (see
+    :meth:`KernelResult.error`); aggregations skip them rather than
+    letting one broken point poison a whole sweep series.
+    """
+    finite = [v for v in values if not math.isnan(v)]
+    if not finite:
+        return float("nan")
+    return sum(finite) / len(finite)
+
+
+@dataclass
+class KernelResult:
+    """All model predictions and the oracle measurement for one kernel."""
+
+    kernel: str
+    policy: str
+    n_warps: int
+    oracle_cpi: float
+    model_cpis: Dict[str, float]
+    oracle: "SimStats"
+    prediction: "Prediction"  # the full GPUMech prediction (stack etc.)
+
+    def error(self, model: str) -> float:
+        """Relative CPI error of a model against the oracle.
+
+        A degenerate oracle run (zero CPI) has no meaningful error;
+        report ``nan`` — never a silently perfect ``0.0`` — and let
+        aggregations skip it (:func:`nanmean`).
+        """
+        if not self.oracle_cpi:
+            return float("nan")
+        return abs(self.model_cpis[model] - self.oracle_cpi) / self.oracle_cpi
+
+    def errors(self) -> Dict[str, float]:
+        """Relative errors of every evaluated model."""
+        return {m: self.error(m) for m in self.model_cpis}
 
 
 @dataclass(frozen=True)
@@ -140,7 +212,30 @@ def _profile_chunk(args):
 
 
 class Pipeline:
-    """Cached, parallel execution of the GPUMech stage DAG."""
+    """Cached, parallel execution of the GPUMech stage DAG.
+
+    The one evaluation entry point: :meth:`predict` (model only),
+    :meth:`simulate` (oracle only), :meth:`evaluate` (oracle + all Table
+    II models, a :class:`KernelResult`) and :meth:`evaluate_many`.
+
+    Parameters
+    ----------
+    config:
+        Machine description (Table I) every evaluation defaults to.
+    scale:
+        Workload scale the suite kernels are built at (trace keys
+        include it); defaults to ``Scale.small()``.
+    store, cache_dir:
+        A pre-built artifact store, or a directory for a persistent
+        on-disk one (mutually exclusive); in-memory by default.
+    jobs:
+        Process-pool width for :meth:`evaluate_many` and the per-warp
+        profile loop; 1 (the default) runs everything serially.
+    lint, tracer, metrics, timeline_interval, ledger:
+        Static verification before tracing, span tracer, metrics
+        registry, oracle sampling period and prediction ledger (see the
+        attribute comments in ``__init__``).
+    """
 
     def __init__(
         self,
@@ -149,7 +244,6 @@ class Pipeline:
         store: Optional[ArtifactStore] = None,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        rr_mode: str = "probabilistic",
         lint: bool = False,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -162,7 +256,6 @@ class Pipeline:
         self.scale = scale if scale is not None else Scale.small()
         self.store = store if store is not None else open_store(cache_dir)
         self.jobs = max(1, int(jobs))
-        self.rr_mode = rr_mode
         #: Opt-in static verification gating the trace stage: when set,
         #: every kernel is linted (cached + counted like any stage)
         #: before its first emulation, and lint errors abort the run
@@ -233,10 +326,6 @@ class Pipeline:
         span_args = {"key": key}
         if arch is not None:
             span_args["arch"] = arch
-        backend = None
-        if stage in BACKEND_STAGES:
-            backend = current_backend()
-            span_args["trace.backend"] = backend
         with self.tracer.span(stage, category="stage", args=span_args):
             start = time.perf_counter()
             if depcheck_enabled():
@@ -258,17 +347,9 @@ class Pipeline:
         metrics.histogram("pipeline.stage_ms", stage=stage).observe(
             elapsed * 1e3
         )
-        if backend is not None:
-            # Per-backend shadow counters (separate names so the exact-
-            # label stage views above stay backend-agnostic).
-            metrics.counter(
-                "pipeline.backend_executions", stage=stage, backend=backend
-            ).inc()
-            metrics.counter(
-                "pipeline.backend_seconds", stage=stage, backend=backend
-            ).inc(elapsed)
         if arch is not None:
-            # Per-architecture shadow counters, same pattern as above.
+            # Per-architecture shadow counters (a separate name, so the
+            # exact-label stage views above stay arch-agnostic).
             metrics.counter(
                 "pipeline.arch_executions", stage=stage, arch=arch
             ).inc()
@@ -599,12 +680,10 @@ class Pipeline:
             warps_per_core,
             n_warps,
             selection_strategy,
-            self.rr_mode,
         )
         model = GPUMech(
             config,
             selection_strategy=selection_strategy,
-            rr_mode=self.rr_mode,
             pipeline=self,
         )
         return self._execute(
@@ -620,7 +699,7 @@ class Pipeline:
         policy: Optional[str] = None,
         warps_per_core: Optional[int] = None,
         selection_strategy: str = "clustering",
-    ):
+    ) -> KernelResult:
         """Oracle + all Table II models on one kernel (one sweep point)."""
         config = self._effective_config(config, policy)
         with self.tracer.span(
@@ -638,7 +717,6 @@ class Pipeline:
         from repro.baselines.markov import markov_chain_cpi
         from repro.baselines.naive import naive_interval_cpi
         from repro.core.model import resident_warps_per_core
-        from repro.harness.runner import KernelResult  # circular at import
 
         started = time.perf_counter()
         timings_before = dict(self.timings) if self.ledger else {}
@@ -700,7 +778,6 @@ class Pipeline:
             result,
             config,
             self.scale,
-            backend=current_backend(),
             cache_result=inputs.cache_result,
             stage_seconds=stage_seconds,
             duration_s=time.perf_counter() - started,
@@ -714,7 +791,7 @@ class Pipeline:
         self,
         requests: Sequence[Union[EvalRequest, dict]],
         jobs: Optional[int] = None,
-    ) -> List:
+    ) -> List[KernelResult]:
         """Evaluate many (kernel × configuration) points, possibly in
         parallel.
 

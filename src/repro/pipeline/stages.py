@@ -309,9 +309,7 @@ def compute_profiles(warps, latency_table, config: GPUConfig):
     """Interval profiles for an ordered slice of warp traces.
 
     Interval-construction semantics are an architecture-backend hook
-    (``config.arch``); both shipped backends use the Eq. 4 scan.
-    Batched across warps by default (``repro.core.interval_vec``);
-    ``REPRO_SCALAR=1`` selects the per-warp reference scan.
+    (``config.arch``); both shipped backends use the batched Eq. 4 scan.
     """
     from repro.arch import get_arch  # deferred: circular import
 

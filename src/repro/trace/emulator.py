@@ -158,23 +158,41 @@ def emulate(
 
     The divergence structure comes from the architecture backend
     (``config.arch``): stack reconvergence for ``gpumech2014``,
-    ITS-style interleaving for ``subcore``.  For stack traces the
-    batched lockstep backend (:mod:`repro.trace.emulator_vec`) runs by
-    default and produces bitwise-identical traces; ``REPRO_SCALAR=1``
-    forces this module's per-warp reference loop.  Interleaved policies
-    always run the per-warp loop (lockstep batching assumes the stack),
-    so the compute backend is trivially result-invariant there.
+    ITS-style interleaving for ``subcore``.  Stack traces come from the
+    batched lockstep emulator (:mod:`repro.trace.emulator_vec`), which
+    is bitwise-identical to :func:`emulate_reference`.  Interleaved
+    policies run the per-warp loop of :func:`emulate_reference`
+    (lockstep batching assumes the stack).
     """
     from repro.arch import get_arch  # deferred: circular import
-    from repro.backend import use_scalar
+
+    config = config if config is not None else GPUConfig()
+    if get_arch(config.arch).reconvergence != "stack":
+        return emulate_reference(kernel, config, memory, max_warp_insts)
+    from repro.trace.emulator_vec import emulate_vectorized
+
+    memory = memory if memory is not None else MemoryImage()
+    return emulate_vectorized(kernel, config, memory, max_warp_insts)
+
+
+def emulate_reference(
+    kernel: Kernel,
+    config: Optional[GPUConfig] = None,
+    memory: Optional[MemoryImage] = None,
+    max_warp_insts: int = 2_000_000,
+) -> KernelTrace:
+    """Per-warp reference emulator: each warp runs to completion, one
+    dynamic instruction per Python iteration.
+
+    The executable specification the batched emulator is tested
+    against, and the production path for non-stack reconvergence.
+    Arguments as for :func:`emulate`.
+    """
+    from repro.arch import get_arch  # deferred: circular import
 
     config = config if config is not None else GPUConfig()
     memory = memory if memory is not None else MemoryImage()
     arch = get_arch(config.arch)
-    if arch.reconvergence == "stack" and not use_scalar():
-        from repro.trace.emulator_vec import emulate_vectorized
-
-        return emulate_vectorized(kernel, config, memory, max_warp_insts)
     n_regs = kernel.max_register + 1
     trace = KernelTrace(
         kernel_name=kernel.name,

@@ -16,9 +16,10 @@ warp, geometric growth along the instruction axis) and sliced into
 per-warp :class:`~repro.trace.trace_types.WarpTrace` arrays at the end —
 no per-instruction Python lists.
 
-Equivalence with the scalar backend
------------------------------------
-Every trace column is bitwise-identical to the scalar emulator's output
+Equivalence with the reference emulator
+---------------------------------------
+Every trace column is bitwise-identical to the output of the per-warp
+:func:`~repro.trace.emulator.emulate_reference`
 (asserted suite-wide by ``tests/test_vectorized_equivalence.py``): the
 same ufuncs run on the same float64 values, and elementwise numpy ops
 are shape-independent at the bit level.  The one semantic difference is

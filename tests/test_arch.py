@@ -6,9 +6,12 @@ Pins the three load-bearing properties of the backend refactor:
   ``config.KNOWN_ARCHES`` describe the same backends, and lookups fail
   loudly for unknown names.
 * **Cache-key discipline** — ``GPUConfig.fingerprint`` changes with
-  ``arch`` and the sub-core parameters but never with the scalar/vector
-  *compute* backend; two architectures never collide in the artifact
-  store.
+  ``arch`` and the sub-core parameters; two architectures never collide
+  in the artifact store.
+* **Reference equivalence under every arch** — the pipeline's
+  prediction is pickle-identical to one built from the reference
+  functions (per-warp emulator, loop-nest cache replay, per-warp
+  interval scan).
 * **Bitwise identity of the default backend** — ``arch="gpumech2014"``
   predictions are pickle-identical to composing the ``repro.core``
   functions directly (the pre-backend code path), across the whole
@@ -25,7 +28,6 @@ from repro.arch import (
     ArchBackend,
     GpuMech2014,
     SubCore,
-    assert_backend_independent,
     get_arch,
     schedulers_for,
 )
@@ -39,6 +41,7 @@ from repro.config import (
 from repro.pipeline import Pipeline
 from repro.workloads.generators import Scale
 from repro.workloads.suite import SUITE, kernel_names
+from tests.test_vectorized_equivalence import reference_prediction
 
 CONFIG = GPUConfig.small(n_cores=2, warps_per_core=8)
 SUBCORE = CONFIG.with_(arch="subcore", n_schedulers=2)
@@ -112,11 +115,6 @@ class TestCacheKeys:
             {"warp_size", "line_size", "smem_banks", "arch"}
         )
 
-    def test_fingerprint_ignores_compute_backend(self, monkeypatch):
-        base = CONFIG.fingerprint(ALL_FIELDS)
-        monkeypatch.setenv("REPRO_SCALAR", "1")
-        assert CONFIG.fingerprint(ALL_FIELDS) == base
-
     def test_archs_never_collide_on_disk(self, tmp_path):
         """Predictions cached by one arch are invisible to the other."""
         kernel = "vectoradd"
@@ -144,9 +142,13 @@ class TestComputeBackendIndependence:
     @pytest.mark.parametrize("config", [CONFIG, SUBCORE],
                              ids=["gpumech2014", "subcore"])
     def test_scalar_and_vectorized_agree(self, config):
-        prediction = assert_backend_independent(
+        prediction = Pipeline(config, scale=Scale.tiny()).predict(
+            "bfs_kernel1"
+        )
+        reference = reference_prediction(
             "bfs_kernel1", config=config, scale=Scale.tiny()
         )
+        assert pickle.dumps(prediction) == pickle.dumps(reference)
         assert prediction.arch == config.arch
         assert prediction.cpi > 0
 

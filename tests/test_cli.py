@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -88,6 +89,19 @@ class TestCommands:
              "--bandwidth", "96", "--warps", "4"]
         ) == 0
         assert "CPI" in capsys.readouterr().out
+
+    def test_predict_warps_matches_validate(self, capsys):
+        # --warps sets the residency the cache simulation models, not
+        # only the warp count of the multi-warp model: predict and
+        # validate must report the same GPUMech CPI for it.
+        argv = ["kmeans_invert_mapping", "--scale", "tiny", "--warps", "2"]
+        assert main(["predict"] + argv) == 0
+        predicted = re.search(r"\]: CPI (\S+) =", capsys.readouterr().out)
+        assert main(["validate"] + argv) == 0
+        validated = re.search(r"MT_MSHR_BAND\s+(\S+)",
+                              capsys.readouterr().out)
+        assert predicted and validated
+        assert predicted.group(1) == validated.group(1)
 
     def test_jobs_and_cache_dir_flags(self, capsys, tmp_path):
         cache = str(tmp_path / "artifacts")

@@ -212,21 +212,29 @@ class TestMetrics:
         b = registry.counter("n", y="2", x="1")  # label order irrelevant
         assert a is b
 
-    def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("temp").set(4)
-        registry.gauge("temp").set(7)
-        assert registry.snapshot()["gauges"][0]["value"] == 7.0
-
     def test_histogram_percentiles(self):
         histogram = HistogramMetric(bounds=(1.0, 2.0, 4.0))
         for value in (0.5, 1.5, 1.6, 3.0, 100.0):
             histogram.observe(value)
         assert histogram.count == 5
         assert histogram.mean == pytest.approx(106.6 / 5)
-        assert histogram.percentile(50) == 2.0
+        # Rank 2.5 of 5 falls halfway-plus into the (1, 2] bucket.
+        assert histogram.percentile(50) == pytest.approx(1.75)
         assert histogram.percentile(100) == 100.0  # overflow -> max
         assert histogram.percentile(0) in (0.0, 1.0)
+
+    def test_p95_interpolates_within_bucket(self):
+        # 1..100 ms: the upper edge of the (50, 100] bucket would say
+        # 100; interpolation recovers the true 95th value.
+        histogram = MetricsRegistry().histogram("stage_ms")
+        for value in range(1, 101):
+            histogram.observe(float(value))
+        assert histogram.percentile(95) == pytest.approx(95.0)
+
+    def test_percentile_clamped_to_observed_max(self):
+        histogram = HistogramMetric(bounds=(10.0,))
+        histogram.observe(2.0)
+        assert histogram.percentile(95) == 2.0
 
     def test_labeled_values(self):
         registry = MetricsRegistry()
@@ -268,7 +276,6 @@ class TestMetrics:
     def test_export_validates_against_schema(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("runs", stage="trace").inc()
-        registry.gauge("occupancy").set(0.5)
         registry.histogram("ms").observe(12.0)
         path = str(tmp_path / "metrics.json")
         registry.export(path)
@@ -300,7 +307,6 @@ class TestMetricsStress:
                 registry.counter(
                     "stress_labeled_total", worker=str(worker_id)
                 ).inc(2)
-                registry.gauge("stress_gauge").set(i)
                 registry.histogram("stress_ms").observe(i % 50)
 
         workers = [

@@ -7,7 +7,6 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.harness.reporting import render_stage_table
-from repro.harness.runner import Runner
 from repro.obs import MetricsRegistry, PredictionLedger, Tracer, read_ledger
 from repro.pipeline import EvalRequest, Pipeline
 from repro.workloads import Scale
@@ -75,44 +74,6 @@ class TestStageMetrics:
         assert "trace" in table and "oracle" in table
         assert "p95 ms" in table
 
-    def test_backend_recorded_on_hot_path_stages(self, config, monkeypatch):
-        from repro.backend import BACKEND_STAGES
-
-        pipeline = Pipeline(config, scale=Scale.tiny())
-        pipeline.evaluate("vectoradd", warps_per_core=4)
-        metrics = pipeline.metrics
-        for stage in BACKEND_STAGES:
-            assert metrics.counter_value(
-                "pipeline.backend_executions",
-                stage=stage, backend="vectorized",
-            ) == 1
-            assert metrics.counter_value(
-                "pipeline.backend_seconds",
-                stage=stage, backend="vectorized",
-            ) > 0.0
-        # Non-switched stages carry no backend counter.
-        assert metrics.counter_value(
-            "pipeline.backend_executions",
-            stage="oracle", backend="vectorized",
-        ) == 0
-        assert "vectorized" in render_stage_table(metrics)
-        # A scalar re-run of the same stages renders as mixed.
-        monkeypatch.setenv("REPRO_SCALAR", "1")
-        pipeline.evaluate("strided_deg8", warps_per_core=4)
-        assert "mixed" in render_stage_table(pipeline.metrics)
-
-    def test_backend_span_arg(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR", "1")
-        tracer = Tracer()
-        pipeline = Pipeline(config, scale=Scale.tiny(), tracer=tracer)
-        pipeline.evaluate("vectoradd", warps_per_core=4)
-        by_name = {
-            s["name"]: s for s in tracer.spans() if s["cat"] == "stage"
-        }
-        assert by_name["trace"]["args"]["trace.backend"] == "scalar"
-        assert by_name["cache_sim"]["args"]["trace.backend"] == "scalar"
-        assert "trace.backend" not in by_name["oracle"]["args"]
-
 
 class TestStageSpans:
     def test_stage_spans_recorded_when_enabled(self, config):
@@ -146,11 +107,11 @@ class TestStageSpans:
 
 class TestParallelMerge:
     def _run(self, config, jobs, tracer=None, ledger=None):
-        runner = Runner(config, Scale.tiny(), jobs=jobs,
-                        metrics=MetricsRegistry(), tracer=tracer,
-                        ledger=ledger)
-        results = runner.evaluate_many(_requests())
-        return results, runner.metrics
+        pipeline = Pipeline(config, scale=Scale.tiny(), jobs=jobs,
+                            metrics=MetricsRegistry(), tracer=tracer,
+                            ledger=ledger)
+        results = pipeline.evaluate_many(_requests())
+        return results, pipeline.metrics
 
     def test_parallel_counters_match_serial(self, config):
         serial_results, serial_metrics = self._run(config, jobs=1)
@@ -199,8 +160,8 @@ class TestParallelMerge:
 
     def test_worker_spans_merged_with_child_pids(self, config):
         tracer = Tracer()
-        runner = Runner(config, Scale.tiny(), jobs=2, tracer=tracer)
-        runner.evaluate_many(_requests())
+        pipeline = Pipeline(config, scale=Scale.tiny(), jobs=2, tracer=tracer)
+        pipeline.evaluate_many(_requests())
         spans = tracer.spans()
         worker_pids = {s["pid"] for s in spans} - {os.getpid()}
         assert worker_pids  # spans shipped home from pool workers
@@ -238,8 +199,9 @@ class TestTimelineThroughPipeline:
         assert stats.total_cycles == plain_stats.total_cycles
 
     def test_timeline_survives_parallel_workers(self, config):
-        runner = Runner(config, Scale.tiny(), jobs=2, timeline_interval=32.0)
-        results = runner.evaluate_many(_requests())
+        pipeline = Pipeline(config, scale=Scale.tiny(), jobs=2,
+                            timeline_interval=32.0)
+        results = pipeline.evaluate_many(_requests())
         for result in results:
             assert result.oracle.timeline is not None
             assert result.oracle.timeline.n_samples > 0

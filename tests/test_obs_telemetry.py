@@ -10,7 +10,6 @@ import threading
 import pytest
 
 from repro.config import GPUConfig
-from repro.harness.runner import Runner
 from repro.obs import (
     MetricsRegistry,
     PredictionLedger,
@@ -21,11 +20,11 @@ from repro.obs import (
     escape_label_value,
     read_ledger,
     render_key,
-    unescape_label_value,
 )
 from repro.obs.ledger import per_kernel_errors
 from repro.obs.sampler import profile_call, wait_for_samples
 from repro.obs.schema import load_schema, validate
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 
@@ -45,7 +44,11 @@ class TestLabelEscaping:
         'all\\of"them\ntogether', "", "\\\\", '""',
     ])
     def test_escape_round_trips(self, value):
-        assert unescape_label_value(escape_label_value(value)) == value
+        # The three OpenMetrics escapes are a subset of Python's string
+        # escapes, so the standard decoder inverts them exactly.
+        escaped = escape_label_value(value)
+        assert "\n" not in escaped
+        assert escaped.encode("ascii").decode("unicode_escape") == value
 
     def test_escape_is_openmetrics_three(self):
         assert escape_label_value('a\\b"c\nd') == 'a\\\\b\\"c\\nd'
@@ -89,7 +92,7 @@ class TestHistogramEdgeCases:
         metrics = MetricsRegistry()
         histogram = metrics.histogram("h", buckets=(1, 2, 4))
         histogram.observe(1.5)
-        assert histogram.percentile(50) == 2
+        assert histogram.percentile(50) == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +358,9 @@ class TestLedger:
         self, config, tmp_path
     ):
         path = tmp_path / "ledger.jsonl"
-        runner = Runner(config, Scale.tiny(), ledger=PredictionLedger(
-            str(path)
-        ))
-        runner.evaluate("vectoradd", warps_per_core=4)
+        pipeline = Pipeline(config, scale=Scale.tiny(),
+                            ledger=PredictionLedger(str(path)))
+        pipeline.evaluate("vectoradd", warps_per_core=4)
         records = read_ledger(str(path))
         assert len(records) == 1
         record = records[0]
@@ -374,28 +376,28 @@ class TestLedger:
         assert 0.0 <= record["cache"]["l1_miss_rate"] <= 1.0
         assert record["stage_seconds"]  # fresh run: stages executed
         assert record["duration_s"] > 0
-        assert runner.metrics.counter_value("ledger.records") == 1
+        assert pipeline.metrics.counter_value("ledger.records") == 1
 
     def test_parallel_workers_append_all_records(self, config, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        runner = Runner(config, Scale.tiny(), jobs=2,
-                        ledger=PredictionLedger(str(path)))
+        pipeline = Pipeline(config, scale=Scale.tiny(), jobs=2,
+                            ledger=PredictionLedger(str(path)))
         kernels = ("vectoradd", "strided_deg8", "transpose_naive")
-        runner.evaluate_many(
+        pipeline.evaluate_many(
             [{"kernel": k, "warps_per_core": 4} for k in kernels]
         )
         records = read_ledger(str(path))
         assert sorted(r["kernel"] for r in records) == sorted(kernels)
-        assert {r["run_id"] for r in records} == {runner.pipeline.ledger.run_id}
+        assert {r["run_id"] for r in records} == {pipeline.ledger.run_id}
 
     def test_cached_reevaluation_still_appends(self, config, tmp_path):
         # Accuracy history wants one record per *evaluation*, even when
         # every artifact comes from the store.
         path = tmp_path / "ledger.jsonl"
-        runner = Runner(config, Scale.tiny(),
-                        ledger=PredictionLedger(str(path)))
-        runner.evaluate("vectoradd", warps_per_core=4)
-        runner.evaluate("vectoradd", warps_per_core=4)
+        pipeline = Pipeline(config, scale=Scale.tiny(),
+                            ledger=PredictionLedger(str(path)))
+        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd", warps_per_core=4)
         assert len(read_ledger(str(path))) == 2
 
 

@@ -1,30 +1,37 @@
-"""Golden equivalence of the scalar and vectorized hot-path backends.
+"""Golden equivalence of the batched hot-path stages and their references.
 
 The vectorized emulator / interval builder / cache replay are only
-admissible because they are *bitwise* interchangeable with the scalar
-reference loops: same trace columns, same interval profiles, same
-cache-sim counters, same CPI stacks — and therefore the same
-content-addressed store fingerprints.  This module pins that contract
-over the entire workload suite; pickle-bytes equality is the strongest
-practical form (the artifact store pickles artifacts wholesale, so
-pickle equality *is* store-fingerprint equality).
+admissible because they are *bitwise* interchangeable with the
+reference loops they replaced (``emulate_reference``,
+``simulate_caches_reference``, ``build_interval_profiles_reference``):
+same trace columns, same interval profiles, same cache-sim counters,
+same CPI stacks — and therefore the same content-addressed store
+fingerprints.  This module pins that contract over the entire workload
+suite; pickle-bytes equality is the strongest practical form (the
+artifact store pickles artifacts wholesale, so pickle equality *is*
+store-fingerprint equality).
 """
 
-import os
 import pickle
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.backend import SCALAR, SCALAR_ENV, VECTORIZED, current_backend
 from repro.config import GPUConfig
-from repro.core.interval import build_interval_profiles
+from repro.core.interval import (
+    build_interval_profiles,
+    build_interval_profiles_reference,
+)
 from repro.core.latency import build_latency_table
-from repro.memory.cache_simulator import simulate_caches
+from repro.core.model import GPUMech, ModelInputs
+from repro.core.representative import select_representative
+from repro.memory.cache_simulator import (
+    simulate_caches,
+    simulate_caches_reference,
+)
 from repro.pipeline import Pipeline
 from repro.pipeline.stages import trace_digest
-from repro.trace.emulator import emulate
+from repro.trace.emulator import emulate, emulate_reference
 from repro.workloads.generators import Scale
 from repro.workloads.suite import SUITE, kernel_names
 
@@ -36,39 +43,49 @@ COLUMNS = (
 )
 
 
-@contextmanager
-def backend(scalar):
-    """Force the scalar (or vectorized) backend within the block."""
-    saved = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1" if scalar else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(SCALAR_ENV, None)
-        else:
-            os.environ[SCALAR_ENV] = saved
-
-
-def _artifacts(name, scalar):
-    """trace → cache sim → latency table → profiles under one backend."""
-    kernel, memory = SUITE[name].build(Scale.tiny())
-    with backend(scalar):
-        assert current_backend() == (SCALAR if scalar else VECTORIZED)
-        trace = emulate(kernel, CONFIG, memory=memory)
-        cache = simulate_caches(trace, CONFIG)
-        table = build_latency_table(trace, cache, CONFIG)
-        profiles = build_interval_profiles(
-            trace.warps, table, CONFIG.issue_rate
+def _artifacts(name, reference, config=CONFIG, scale=None):
+    """trace → cache sim → latency table → profiles, built either by the
+    production functions or by the reference ones."""
+    kernel, memory = SUITE[name].build(scale or Scale.tiny())
+    if reference:
+        trace = emulate_reference(kernel, config, memory=memory)
+        cache = simulate_caches_reference(trace, config)
+        table = build_latency_table(trace, cache, config)
+        profiles = build_interval_profiles_reference(
+            trace.warps, table, config.issue_rate
         )
-    return trace, cache, profiles
+    else:
+        trace = emulate(kernel, config, memory=memory)
+        cache = simulate_caches(trace, config)
+        table = build_latency_table(trace, cache, config)
+        profiles = build_interval_profiles(
+            trace.warps, table, config.issue_rate
+        )
+    return trace, cache, table, profiles
+
+
+def reference_prediction(name, config=CONFIG, scale=None):
+    """The default GPUMech prediction of a suite kernel, built from the
+    reference functions alone (no pipeline, no store)."""
+    trace, cache, table, profiles = _artifacts(
+        name, reference=True, config=config, scale=scale
+    )
+    inputs = ModelInputs(
+        trace=trace,
+        cache_result=cache,
+        latency_table=table,
+        profiles=profiles,
+        selection=select_representative(profiles, "clustering"),
+        avg_miss_latency=cache.avg_miss_latency(config),
+    )
+    return GPUMech(config).predict(inputs)
 
 
 class TestSuiteEquivalence:
     @pytest.mark.parametrize("name", kernel_names())
     def test_artifacts_bitwise_identical(self, name):
-        strace, scache, sprofiles = _artifacts(name, scalar=True)
-        vtrace, vcache, vprofiles = _artifacts(name, scalar=False)
+        strace, scache, _, sprofiles = _artifacts(name, reference=True)
+        vtrace, vcache, _, vprofiles = _artifacts(name, reference=False)
 
         # Trace columns: bitwise values, exact dtypes, exact shapes.
         assert len(vtrace.warps) == len(strace.warps)
@@ -92,24 +109,7 @@ class TestSuiteEquivalence:
 class TestCpiStackEquivalence:
     @pytest.mark.parametrize("name", kernel_names())
     def test_predictions_identical(self, name):
-        stacks = {}
-        for scalar in (True, False):
-            with backend(scalar):
-                pipeline = Pipeline(CONFIG, scale=Scale.tiny())
-                stacks[scalar] = pipeline.predict(name)
-        assert pickle.dumps(stacks[False]) == pickle.dumps(stacks[True])
-
-
-class TestBackendSelection:
-    def test_env_selects_scalar(self):
-        with backend(True):
-            assert current_backend() == SCALAR
-        with backend(False):
-            assert current_backend() == VECTORIZED
-
-    def test_empty_and_zero_mean_false(self, monkeypatch):
-        for value in ("", "0", "false", "no"):
-            monkeypatch.setenv(SCALAR_ENV, value)
-            assert current_backend() == VECTORIZED
-        monkeypatch.delenv(SCALAR_ENV)
-        assert current_backend() == VECTORIZED
+        pipeline = Pipeline(CONFIG, scale=Scale.tiny())
+        assert pickle.dumps(pipeline.predict(name)) == pickle.dumps(
+            reference_prediction(name)
+        )
