@@ -17,7 +17,7 @@ adding a third backend.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 # Safe at module level: nothing under repro.core / repro.trace imports
 # repro.arch at import time (they defer get_arch into call sites), so
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # imports for annotations only
     from repro.config import GPUConfig
     from repro.core.contention import ContentionResult
     from repro.core.cpi_stack import CPIStack
-    from repro.core.interval import IntervalProfile
+    from repro.core.interval import IntervalProfile, IntervalProfiles
     from repro.core.latency import LatencyTable
     from repro.core.multithreading import MultithreadingResult
 
@@ -91,7 +91,7 @@ class ArchBackend:
         warps,
         latency_table: "LatencyTable",
         config: "GPUConfig",
-    ) -> List["IntervalProfile"]:
+    ) -> "IntervalProfiles":
         """Per-warp Eq. 4 interval profiles under this architecture."""
         return _build_interval_profiles(warps, latency_table,
                                         config.issue_rate)

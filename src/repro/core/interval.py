@@ -23,9 +23,12 @@ requests, DRAM-bound read/write traffic) for the contention models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import List, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.latency import LatencyTable
 from repro.memory.hierarchy import MissEvent
@@ -132,11 +135,137 @@ class IntervalProfile:
         return self.warp_perf
 
 
+_FIELD_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_}
+
+#: Column dtype of every :class:`Interval` field, in field order.
+COLUMN_DTYPES: Dict[str, type] = {
+    f.name: _FIELD_DTYPES[f.type] for f in fields(Interval)
+}
+
+
+class IntervalProfiles:
+    """Every warp's intervals of one launch, stored as columns.
+
+    The ``interval_profiles`` artifact.  ``columns`` holds one array per
+    :class:`Interval` field over all warps' intervals in warp order;
+    warp ``i`` owns rows ``warp_offsets[i]:warp_offsets[i + 1]``.  Only
+    indexing builds :class:`Interval` objects, for the one warp asked
+    for, so pickling the table costs one array per field instead of
+    one object per interval.
+
+    ``len()`` is the warp count; ``profiles[i]`` and iteration yield
+    self-contained :class:`IntervalProfile` objects.
+    """
+
+    def __init__(
+        self,
+        columns: Dict[str, Sequence],
+        warp_offsets: Sequence[int],
+        warp_ids: Sequence[int],
+        issue_rate: float = 1.0,
+    ) -> None:
+        self.columns = {
+            name: np.ascontiguousarray(columns[name], dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()
+        }
+        self.warp_offsets = np.ascontiguousarray(warp_offsets, dtype=np.int64)
+        self.warp_ids = np.ascontiguousarray(warp_ids, dtype=np.int64)
+        self.issue_rate = issue_rate
+        n_rows = len(self.columns["n_insts"])
+        if (
+            len(self.warp_offsets) != len(self.warp_ids) + 1
+            or self.warp_offsets[0] != 0
+            or self.warp_offsets[-1] != n_rows
+            or any(len(col) != n_rows for col in self.columns.values())
+        ):
+            raise ValueError("inconsistent interval-profile columns")
+
+    @classmethod
+    def from_profiles(
+        cls,
+        profiles: Iterable[IntervalProfile],
+        issue_rate: Optional[float] = None,
+    ) -> "IntervalProfiles":
+        """The table of per-warp profiles (which share one issue rate)."""
+        profiles = list(profiles)
+        if issue_rate is None:
+            issue_rate = profiles[0].issue_rate if profiles else 1.0
+        if any(p.issue_rate != issue_rate for p in profiles):
+            raise ValueError("profiles in one table share one issue rate")
+        rows = [i for p in profiles for i in p.intervals]
+        return cls(
+            {name: [getattr(i, name) for i in rows] for name in COLUMN_DTYPES},
+            np.cumsum([0] + [len(p.intervals) for p in profiles]),
+            [p.warp_id for p in profiles],
+            issue_rate,
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["IntervalProfiles"]) -> "IntervalProfiles":
+        """One table of consecutive warp chunks (built under one
+        configuration), in order."""
+        offsets = [np.zeros(1, dtype=np.int64)]
+        base = 0
+        for part in parts:
+            offsets.append(part.warp_offsets[1:] + base)
+            base += int(part.warp_offsets[-1])
+        return cls(
+            {
+                name: np.concatenate([p.columns[name] for p in parts])
+                for name in COLUMN_DTYPES
+            },
+            np.concatenate(offsets),
+            np.concatenate([p.warp_ids for p in parts]),
+            parts[0].issue_rate,
+        )
+
+    def __len__(self) -> int:
+        return len(self.warp_ids)
+
+    def __getitem__(self, index: int) -> IntervalProfile:
+        n = len(self)
+        index = operator.index(index)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("warp index out of range")
+        lo, hi = self.warp_offsets[index : index + 2].tolist()
+        intervals = list(
+            map(Interval, *(col[lo:hi].tolist() for col in self.columns.values()))
+        )
+        return IntervalProfile(
+            int(self.warp_ids[index]), intervals, self.issue_rate
+        )
+
+    def __iter__(self) -> Iterator[IntervalProfile]:
+        return (self[i] for i in range(len(self)))
+
+    def warp_n_insts(self) -> np.ndarray:
+        """Per-warp :attr:`IntervalProfile.n_insts` (exact integer sums)."""
+        totals = np.concatenate(([0], np.cumsum(self.columns["n_insts"])))
+        return totals[self.warp_offsets[1:]] - totals[self.warp_offsets[:-1]]
+
+    def warp_perf(self) -> np.ndarray:
+        """Per-warp :attr:`IntervalProfile.warp_perf`, bitwise.
+
+        Each warp's stall total is a left-to-right Python ``sum`` over
+        its rows, as the profile computes it; numpy's pairwise sum
+        would round differently.
+        """
+        stalls = self.columns["stall_cycles"].tolist()
+        bounds = self.warp_offsets.tolist()
+        perf = []
+        for n, lo, hi in zip(self.warp_n_insts().tolist(), bounds, bounds[1:]):
+            cycles = n / self.issue_rate + sum(stalls[lo:hi])
+            perf.append(n / cycles if cycles else 0.0)
+        return np.array(perf, dtype=np.float64)
+
+
 def build_interval_profiles(
     warps: Sequence[WarpTrace],
     latency_table: LatencyTable,
     issue_rate: float = 1.0,
-) -> List[IntervalProfile]:
+) -> IntervalProfiles:
     """Interval profiles for an ordered collection of warp traces.
 
     Runs the batched numpy scan (:mod:`repro.core.interval_vec`), which
@@ -151,12 +280,13 @@ def build_interval_profiles_reference(
     warps: Sequence[WarpTrace],
     latency_table: LatencyTable,
     issue_rate: float = 1.0,
-) -> List[IntervalProfile]:
+) -> IntervalProfiles:
     """Per-warp reference scan: :func:`build_interval_profile` per warp."""
-    return [
-        build_interval_profile(warp, latency_table, issue_rate)
-        for warp in warps
-    ]
+    return IntervalProfiles.from_profiles(
+        (build_interval_profile(warp, latency_table, issue_rate)
+         for warp in warps),
+        issue_rate,
+    )
 
 
 def build_interval_profile(

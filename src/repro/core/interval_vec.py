@@ -21,16 +21,19 @@ bitwise-compatible with the scalar loop's sequential adds, and bitwise
 equality with :func:`~repro.core.interval.build_interval_profiles_reference`
 is the contract
 (``tests/test_vectorized_equivalence.py``).
+
+The per-segment arrays *are* the result: they become the columns of an
+:class:`~repro.core.interval.IntervalProfiles` table as they are, and
+no :class:`~repro.core.interval.Interval` object is built here.
 """
 
 from __future__ import annotations
 
-import gc
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.interval import Interval, IntervalProfile
+from repro.core.interval import IntervalProfile, IntervalProfiles
 from repro.core.latency import LatencyTable
 from repro.memory.hierarchy import MissEvent
 from repro.trace.trace_types import MAX_DEPS, OpCode, WarpTrace
@@ -79,31 +82,15 @@ def build_interval_profiles(
     warps: Sequence[WarpTrace],
     latency_table: LatencyTable,
     issue_rate: float = 1.0,
-) -> List[IntervalProfile]:
+) -> IntervalProfiles:
     """Vectorized counterpart of per-warp ``build_interval_profile``."""
-    n_warps = len(warps)
-    if not n_warps:
-        return []
     lengths = np.array([len(w) for w in warps], dtype=np.int64)
-    max_len = int(lengths.max())
-    if not max_len:
-        return [
-            IntervalProfile(warp_id=w.warp_id, issue_rate=issue_rate)
-            for w in warps
-        ]
-
-    # Generational GC is paused for the whole build: none of the
-    # millions of boxed scalars and Interval objects created here can be
-    # part of a cycle, and letting collections walk the growing heap
-    # measured ~7x slower at large launches.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _build(warps, latency_table, issue_rate, lengths)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    if not lengths.any():
+        return IntervalProfiles.from_profiles(
+            (IntervalProfile(w.warp_id, issue_rate=issue_rate) for w in warps),
+            issue_rate,
+        )
+    return _build(warps, latency_table, issue_rate, lengths)
 
 
 def _build(
@@ -111,7 +98,7 @@ def _build(
     latency_table: LatencyTable,
     issue_rate: float,
     lengths: np.ndarray,
-) -> List[IntervalProfile]:
+) -> IntervalProfiles:
     n_warps = len(warps)
     max_len = int(lengths.max())
     lat_by_pc = latency_table.as_array
@@ -238,42 +225,30 @@ def _build(
         np.add.at(e2, seg_of, fracs[2][load_pcs])
         np.add.at(e3, seg_of, fracs[3][load_pcs])
 
-    # One C-level construction pass for every interval of every warp
-    # (GC is paused by the caller for this bulk allocation).
-    intervals = list(
-        map(
-            Interval,
-            seg_insts.tolist(),
-            stall_seg.tolist(),
-            cause_pc_seg.tolist(),
-            cause_mem_seg.tolist(),
-            seg_loads.tolist(),
-            seg_stores.tolist(),
-            seg_load_reqs.tolist(),
-            seg_store_reqs.tolist(),
-            seg_sfu.tolist(),
-            seg_smem.tolist(),
-            seg_slots.tolist(),
-            e0.tolist(),
-            e1.tolist(),
-            e2.tolist(),
-            e3.tolist(),
-        )
+    # Segments are in warp order, so warp i owns the segments that start
+    # in [warp_starts[i], warp_starts[i + 1]).
+    return IntervalProfiles(
+        {
+            "n_insts": seg_insts,
+            "stall_cycles": stall_seg,
+            "cause_pc": cause_pc_seg,
+            "cause_is_memory": cause_mem_seg,
+            "n_loads": seg_loads,
+            "n_stores": seg_stores,
+            "load_reqs": seg_load_reqs,
+            "store_reqs": seg_store_reqs,
+            "n_sfu": seg_sfu,
+            "n_smem": seg_smem,
+            "smem_slots": seg_slots,
+            "exp_mshr_reqs": e0,
+            "exp_dram_read_reqs": e1,
+            "exp_mshr_loads": e2,
+            "exp_dram_loads": e3,
+        },
+        np.searchsorted(starts, warp_starts),
+        [w.warp_id for w in warps],
+        issue_rate,
     )
-
-    # Hand each warp its contiguous slice of the flat interval list.
-    seg_warp = np.searchsorted(warp_starts[1:], starts, side="right")
-    seg_counts = np.bincount(seg_warp, minlength=n_warps).tolist()
-    profiles = []
-    pos = 0
-    for warp, count in zip(warps, seg_counts):
-        profile = IntervalProfile(
-            warp_id=warp.warp_id, issue_rate=issue_rate
-        )
-        profile.intervals = intervals[pos : pos + count]
-        pos += count
-        profiles.append(profile)
-    return profiles
 
 
 def _seg_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ interval algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.config import GPUConfig
 from repro.core.contention import ContentionResult
 from repro.core.cpi_stack import CPIStack
-from repro.core.interval import IntervalProfile
+from repro.core.interval import IntervalProfile, IntervalProfiles
 from repro.core.latency import LatencyTable
 from repro.core.multithreading import MultithreadingResult
 from repro.core.representative import RepresentativeSelection
@@ -36,7 +36,7 @@ class ModelInputs:
     trace: KernelTrace
     cache_result: CacheSimResult
     latency_table: LatencyTable
-    profiles: List[IntervalProfile]
+    profiles: IntervalProfiles
     selection: RepresentativeSelection
     avg_miss_latency: float
 
@@ -253,5 +253,14 @@ class GPUMech:
         memory: Optional[MemoryImage] = None,
         **predict_kwargs,
     ) -> Prediction:
-        """Convenience: prepare + predict in one call."""
-        return self.predict(self.prepare(kernel, memory=memory), **predict_kwargs)
+        """Convenience: prepare + predict in one call.
+
+        A ``warps_per_core`` override reaches :meth:`prepare` too, so the
+        cache simulation models the same residency as the prediction.
+        """
+        inputs = self.prepare(
+            kernel,
+            memory=memory,
+            warps_per_core=predict_kwargs.get("warps_per_core"),
+        )
+        return self.predict(inputs, **predict_kwargs)

@@ -16,11 +16,11 @@ lowest single-warp IPC) are provided for the comparison experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from repro.core.interval import IntervalProfile
+from repro.core.interval import IntervalProfile, IntervalProfiles
 from repro.core.kmeans import KMeansResult, kmeans
 
 
@@ -28,8 +28,8 @@ from repro.core.kmeans import KMeansResult, kmeans
 class RepresentativeSelection:
     """Outcome of representative-warp selection."""
 
-    index: int  # index into the profile list
-    profile: IntervalProfile
+    index: int  # index into the launch's warps
+    profile: IntervalProfile  # that warp's intervals alone
     strategy: str
     features: np.ndarray  # (n_warps, 2) normalised feature vectors
     clustering: KMeansResult = None
@@ -40,17 +40,25 @@ class RepresentativeSelection:
         return self.profile.warp_id
 
 
-def feature_vectors(profiles: Sequence[IntervalProfile]) -> np.ndarray:
-    """Eq. 6: per-warp (performance, instruction count), mean-normalised."""
-    perf = np.array([p.warp_perf for p in profiles], dtype=np.float64)
-    insts = np.array([p.n_insts for p in profiles], dtype=np.float64)
+Profiles = Union[IntervalProfiles, Sequence[IntervalProfile]]
+
+
+def feature_vectors(profiles: Profiles) -> np.ndarray:
+    """Eq. 6: per-warp (performance, instruction count), mean-normalised.
+
+    Computed from the table's columns; no per-warp profile is built.
+    """
+    if not isinstance(profiles, IntervalProfiles):
+        profiles = IntervalProfiles.from_profiles(profiles)
+    perf = profiles.warp_perf()
+    insts = profiles.warp_n_insts().astype(np.float64)
     avg_perf = perf.mean() if perf.mean() else 1.0
     avg_insts = insts.mean() if insts.mean() else 1.0
     return np.column_stack([perf / avg_perf, insts / avg_insts])
 
 
 def select_representative(
-    profiles: Sequence[IntervalProfile],
+    profiles: Profiles,
     strategy: str = "clustering",
 ) -> RepresentativeSelection:
     """Select the representative warp.

@@ -55,6 +55,7 @@ from typing import (
 )
 
 from repro.config import GPUConfig
+from repro.core.interval import IntervalProfiles
 from repro.depcheck.runtime import (
     depcheck_enabled,
     record_stage,
@@ -524,7 +525,7 @@ class Pipeline:
             max_workers=self.jobs, mp_context=_mp_context()
         ) as pool:
             parts = list(pool.map(_profile_chunk, chunks))
-        return [profile for part in parts for profile in part]
+        return IntervalProfiles.concat(parts)
 
     def _clustering(self, profiles, profiles_key, config, strategy):
         key = stage_key("clustering", config, profiles_key, strategy)

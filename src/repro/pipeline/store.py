@@ -11,10 +11,11 @@ Three implementations:
     Plain in-process dict — the default.  Hits return the *same object*,
     so e.g. repeated ``Pipeline.trace()`` calls are identity-cached.
 ``DiskStore``
-    One pickle file per artifact under ``<root>/<stage>/<hash>.pkl``,
-    written atomically — safe for concurrent writers (parallel sweep
-    workers racing on the same key write identical bytes; the ``os.replace``
-    is atomic either way) and reusable across processes and sessions.
+    One pickle file per artifact under
+    ``<root>/v<FORMAT_VERSION>/<stage>/<hash>.pkl``, written atomically —
+    safe for concurrent writers (parallel sweep workers racing on the
+    same key write identical bytes; the ``os.replace`` is atomic either
+    way) and reusable across processes and sessions.
 ``TieredStore``
     A read-through/write-through chain (memory in front of disk): gets
     backfill earlier layers, puts propagate to all layers.
@@ -26,6 +27,12 @@ import os
 import pickle
 import tempfile
 from typing import Any, Dict, Optional, Sequence
+
+#: Version of the artifacts' pickled layout, part of every on-disk path.
+#: Bump it whenever an artifact type changes shape, so a directory
+#: written by older code reads as misses rather than as objects of the
+#: wrong type.
+FORMAT_VERSION = 2
 
 
 class ArtifactStore:
@@ -72,11 +79,12 @@ class DiskStore(ArtifactStore):
 
     def __init__(self, root: str) -> None:
         self.root = str(root)
-        os.makedirs(self.root, exist_ok=True)
+        self._versioned = os.path.join(self.root, "v%d" % FORMAT_VERSION)
+        os.makedirs(self._versioned, exist_ok=True)
 
     def _path(self, key: str) -> str:
         stage, digest = _split_key(key)
-        return os.path.join(self.root, stage, digest + ".pkl")
+        return os.path.join(self._versioned, stage, digest + ".pkl")
 
     def get(self, key: str) -> Optional[Any]:
         path = self._path(key)
@@ -107,7 +115,7 @@ class DiskStore(ArtifactStore):
 
     def __len__(self) -> int:
         count = 0
-        for _, _, files in os.walk(self.root):
+        for _, _, files in os.walk(self._versioned):
             count += sum(1 for f in files if f.endswith(".pkl"))
         return count
 

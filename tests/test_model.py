@@ -5,7 +5,10 @@ import pytest
 from repro.config import GPUConfig
 from repro.core.model import GPUMech, resident_warps_per_core
 from repro.core.cpi_stack import StallType
+from repro.pipeline import Pipeline
 from repro.trace import emulate
+from repro.workloads import Scale
+from repro.workloads.suite import SUITE
 
 from tests.conftest import build_divergent_load, build_fp_chain, build_saxpy
 
@@ -84,6 +87,20 @@ class TestPredict:
             build_divergent_load(n_threads=512, block_size=64)
         )
         assert prediction.cpi_mshr > 0.0
+
+    def test_warps_per_core_matches_pipeline(self):
+        # The override sets the residency the cache simulation models as
+        # well as the multi-warp model's warp count.
+        config = GPUConfig.small(n_cores=2)
+        kernel, memory = SUITE["kmeans_invert_mapping"].build(Scale.tiny())
+        direct = GPUMech(config).predict_kernel(
+            kernel, memory=memory, warps_per_core=2
+        )
+        staged = Pipeline(config, scale=Scale.tiny()).predict(
+            "kmeans_invert_mapping", warps_per_core=2
+        )
+        assert direct.cpi == staged.cpi
+        assert direct.cpi_stack == staged.cpi_stack
 
     def test_summary_text(self, config):
         prediction = GPUMech(config).predict_kernel(build_saxpy())

@@ -2,6 +2,8 @@
 parallel equivalence, on-disk reuse)."""
 
 import math
+import os
+import pickle
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.pipeline import (
     nanmean,
     open_store,
 )
+from repro.pipeline.store import FORMAT_VERSION
 from repro.workloads import Scale
 
 
@@ -161,6 +164,35 @@ class TestDiskStore:
         c = fresh.evaluate("strided_deg8")
         assert a.model_cpis == b.model_cpis == c.model_cpis
         assert a.oracle_cpi == b.oracle_cpi == c.oracle_cpi
+
+    def test_older_format_layout_is_a_miss(self, config, tmp_path):
+        # A store written before the format version joined the path held
+        # each artifact at <root>/<stage>/<hash>.pkl, interval profiles
+        # as a list of per-warp objects.  Such files must read as misses.
+        cold_dir = tmp_path / "cold"
+        cold = Pipeline(config, scale=Scale.tiny(), cache_dir=str(cold_dir))
+        expected = cold.predict("kmeans_invert_mapping")
+        versioned = cold_dir / ("v%d" % FORMAT_VERSION)
+        old_root = tmp_path / "old"
+        planted = 0
+        for stage in os.listdir(versioned):
+            for name in os.listdir(versioned / stage):
+                with open(versioned / stage / name, "rb") as handle:
+                    artifact = pickle.load(handle)
+                stale = (list(artifact) if stage == "interval_profiles"
+                         else "artifact of an older format")
+                os.makedirs(old_root / stage, exist_ok=True)
+                with open(old_root / stage / name, "wb") as handle:
+                    pickle.dump(stale, handle)
+                planted += 1
+        assert planted >= 5
+
+        rerun = Pipeline(config, scale=Scale.tiny(), cache_dir=str(old_root))
+        got = rerun.predict("kmeans_invert_mapping")
+        assert rerun.counters["interval_profiles"] == 1
+        assert rerun.counters["predict"] == 1
+        assert got.cpi == expected.cpi
+        assert got.cpi_stack == expected.cpi_stack
 
     def test_corrupt_artifact_is_a_miss(self, config, tmp_path):
         store = DiskStore(str(tmp_path))

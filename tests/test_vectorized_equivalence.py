@@ -100,6 +100,16 @@ class TestSuiteEquivalence:
         # Same content hash → same store fingerprints downstream.
         assert trace_digest(vtrace) == trace_digest(strace)
 
+        # Interval-profile columns: bitwise values and exact dtypes.
+        for column, expected in sprofiles.columns.items():
+            got = vprofiles.columns[column]
+            assert got.dtype == expected.dtype, (name, column)
+            assert got.tobytes() == expected.tobytes(), (name, column)
+        assert vprofiles.warp_offsets.tobytes() == (
+            sprofiles.warp_offsets.tobytes()
+        )
+        assert vprofiles.warp_ids.tobytes() == sprofiles.warp_ids.tobytes()
+
         # Cache-sim counters and interval profiles: pickle equality is
         # store-fingerprint equality (the store pickles wholesale).
         assert pickle.dumps(vcache) == pickle.dumps(scache)
